@@ -76,34 +76,15 @@ Delta::Delta(const DeltaConfig& cfg)
     if (cfg_.lanes == 0 || cfg_.lanes > 62)
         fatal("Delta supports 1..62 lanes, got ", cfg_.lanes);
 
-    // Executor shard count.  Tracing and the naive loop are
-    // single-threaded by contract; partitions are still declared
-    // identically below, so the forced --shards 1 run stays
-    // bit-identical to any sharded one.
-    std::uint32_t shards = cfg_.shards == 0 ? 1 : cfg_.shards;
-    if (cfg_.noFastForward || cfg_.trace.enabled)
-        shards = 1;
-    sim_.setShards(shards);
-
     sim_.setFastForward(!cfg_.noFastForward);
     tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
 
-    // Partition map: every mesh node is its own partition — the
-    // dispatcher, each lane (with its task unit, engines, and
-    // scratchpad), and the memory node, plus any spare mesh corners.
-    // The declaration is a property of the simulated structure, made
-    // identically for every shard count (results would otherwise
-    // depend on K through boundary-channel credits).
-    const NocConfig mesh = meshFor(cfg_.lanes, cfg_.nocLinks);
-    std::vector<std::uint32_t> nodeParts(mesh.width * mesh.height);
-    for (std::uint32_t i = 0; i < nodeParts.size(); ++i)
-        nodeParts[i] = i;
-    noc_ = std::make_unique<Noc>(sim_, mesh, nodeParts);
+    noc_ = std::make_unique<Noc>(sim_,
+                                 meshFor(cfg_.lanes, cfg_.nocLinks));
 
     const std::uint32_t dispatcherNode = 0;
     const std::uint32_t memNodeId = cfg_.lanes + 1;
 
-    sim_.setPartition(memNodeId);
     memNode_ = std::make_unique<MemNode>(sim_, *noc_, memNodeId,
                                          cfg_.mem);
 
@@ -114,12 +95,10 @@ Delta::Delta(const DeltaConfig& cfg)
     LaneConfig lcfg = cfg_.lane;
     lcfg.steal = cfg_.steal;
     for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
-        sim_.setPartition(laneNode(i));
         lanes_.push_back(std::make_unique<Lane>(
             sim_, *noc_, img_, registry_, i, laneNode(i),
             dispatcherNode, memNodeId, lcfg, laneNodes));
     }
-    sim_.setPartition(dispatcherNode);
 
     DispatcherConfig dcfg;
     dcfg.policy = cfg_.policy;
@@ -138,7 +117,6 @@ Delta::Delta(const DeltaConfig& cfg)
     dispatcher_ = std::make_unique<Dispatcher>(*noc_, img_, registry_,
                                                dcfg);
     sim_.add(dispatcher_.get());
-    sim_.setPartition(0);
 
     if (cfg_.flightRecorder > 0) {
         recorder_ =
@@ -146,8 +124,6 @@ Delta::Delta(const DeltaConfig& cfg)
         sim_.setFlightRecorder(recorder_.get());
     }
     if (cfg_.hostProfile) {
-        // After every component is registered: the profiler
-        // classifies components by name at attach time.
         profiler_ = std::make_unique<obs::HostProfiler>();
         sim_.setHostProfiler(profiler_.get());
     }
@@ -219,7 +195,7 @@ Delta::run(const TaskGraph& graph)
     // Ahead-of-time spatial mapping: plan lane placement from the
     // fully-known graph before the first dispatch.  The plan is a
     // pure function of (graph, image, registry, mesh), so it is
-    // bit-identical across shard counts and snapshot forks.
+    // bit-identical across snapshot forks.
     spatial::SpatialPlan plan;
     if (cfg_.policy == SchedPolicy::Spatial) {
         std::vector<std::uint32_t> laneNodes;

@@ -82,20 +82,6 @@ struct DeltaConfig
     bool noFastForward = false;
 
     /**
-     * Executor shards for the conservative-PDES core: the mesh nodes
-     * (dispatcher, each lane, the memory node — each its own
-     * partition) are distributed over this many host threads, with
-     * inter-router links as the only cross-shard channels.  Results
-     * are bit-identical for every value (CI-gated like
-     * noFastForward), so like hostProfile it is results-neutral and
-     * excluded from driver::canonicalConfig / cache keys.  Forced to
-     * 1 when tracing or noFastForward is on (both are
-     * single-threaded by contract).  --shards / TS_SHARDS via
-     * RunOptions::applyTo().
-     */
-    std::uint32_t shards = 1;
-
-    /**
      * Time-series sampling interval in simulated cycles; 0 (default)
      * disables the timeline.  When on, the run JSON gains a columnar
      * `delta.timeline.*` section sampled at exact simulated ticks —

@@ -228,11 +228,6 @@ const GridKeyDef kGridKeys[] = {
      [](const std::string& v, RunOptions& o, GridSettings&) {
          o.hostProfile = v != "0";
      }},
-    {"shards", "positive integer",
-     "executor shards inside every run (bit-identical for every N)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.shards = parsePositive(v, "shards");
-     }},
 };
 
 } // namespace
@@ -318,7 +313,6 @@ buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
     spec.timelineInterval = opt.timelineInterval;
     spec.timelineSeries = opt.timelineSeries;
     spec.hostProfile = opt.hostProfile;
-    spec.shards = opt.shards;
     spec.steal = opt.steal;
     spec.sched = opt.sched;
     spec.schedSet = opt.schedSet;

@@ -18,7 +18,7 @@
  *                           opt.suiteParams()
  *
  * All of them inject the options' outputs (trace, stats-json,
- * bench-json, shards, ...) via RunOptions::applyTo, and write the
+ * bench-json, timeline, ...) via RunOptions::applyTo, and write the
  * bench-JSON wrapper to opt.benchJsonDir when set — callers never
  * touch StatSet serialization themselves.
  */

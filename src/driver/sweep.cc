@@ -225,10 +225,6 @@ resolvePointConfig(const SweepSpec& spec, const RunPoint& point)
     // results, so it stays out of canonicalConfig/cache keys.
     if (spec.hostProfile)
         cfg.hostProfile = true;
-    // Results-neutral like hostProfile (bit-identity is CI-gated),
-    // so it is likewise excluded from canonicalConfig/cache keys.
-    if (cfg.shards == 1)
-        cfg.shards = spec.shards;
     // Behaviour-relevant: canonicalConfig covers cfg.steal, so a
     // spec-level override changes every point's cache key.
     if (cfg.steal == StealPolicy::None)

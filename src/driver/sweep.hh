@@ -121,15 +121,8 @@ struct SweepSpec
      *  relevant, and excluded from byte-compared dumps. */
     bool hostProfile = false;
 
-    /** Executor shards inside every run (host threads per
-     *  simulation).  Results are bit-identical for every value, so
-     *  like hostProfile it stays out of canonicalConfig/cache keys:
-     *  a cached single-shard result is a valid answer for a sharded
-     *  request and vice versa. */
-    std::uint32_t shards = 1;
-
     /** Work-stealing override applied to every config whose preset
-     *  left stealing off.  Behaviour-relevant (unlike shards): the
+     *  left stealing off.  Behaviour-relevant (unlike hostProfile): the
      *  resolved policy lands in canonicalConfig and so in every
      *  point's cache key. */
     StealPolicy steal = StealPolicy::None;

@@ -104,9 +104,7 @@ class NocRouter : public Ticked
     std::array<Channel<Packet>*, NumDirs> in_;
     std::array<Channel<Packet>*, NumDirs> out_;
 
-    /** Forwarding-side traffic counters, owned by this router so the
-     *  sharded core's parallel ticks never contend on the mesh-wide
-     *  totals; Noc's accessors sum them. */
+    /** Forwarding-side traffic counters; Noc's accessors sum them. */
     std::uint64_t delivered_ = 0;
     std::uint64_t wordHops_ = 0;
     std::uint64_t mcastWordHops_ = 0;
@@ -213,8 +211,6 @@ class NocRouter : public Ticked
                                lat);
                 }
                 if (trace::on()) {
-                    // Tracing forces single-shard execution, so the
-                    // mesh-wide sum is safe to read here.
                     trace::active()->counter(
                         "noc.traffic", "delivered",
                         static_cast<double>(noc_.delivered()));
@@ -236,20 +232,12 @@ class NocRouter : public Ticked
     std::array<Tick, NumDirs> linkFreeAt_;
 };
 
-Noc::Noc(Simulator& sim, const NocConfig& cfg,
-         const std::vector<std::uint32_t>& nodeParts)
+Noc::Noc(Simulator& sim, const NocConfig& cfg)
     : sim_(sim), cfg_(cfg)
 {
     const std::uint32_t n = numNodes();
     if (n == 0 || n > 64)
         fatal("mesh must have between 1 and 64 nodes, got ", n);
-    TS_ASSERT(nodeParts.empty() || nodeParts.size() == n,
-              "nodeParts must name a partition per mesh node");
-
-    const std::uint32_t basePart = sim.partition();
-    const auto part = [&](std::uint32_t node) {
-        return nodeParts.empty() ? basePart : nodeParts[node];
-    };
 
     injected_.assign(n, 0);
     mcastPackets_.assign(n, 0);
@@ -258,37 +246,31 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
     routers_.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         routers_.push_back(std::make_unique<NocRouter>(*this, i));
-        sim.setPartition(part(i));
         sim.add(routers_.back().get());
     }
 
-    // A node's inject/eject channels stay inside the node's
-    // partition: the local component and its router always share a
-    // shard, so only inter-router links ever cross shards.
     injectCh_.resize(n);
     ejectCh_.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) {
         auto& inj = sim.makeChannel<Packet>(
-            "noc.inject" + std::to_string(i), cfg_.channelCapacity,
-            part(i), part(i));
+            "noc.inject" + std::to_string(i), cfg_.channelCapacity);
         auto& ej = sim.makeChannel<Packet>(
-            "noc.eject" + std::to_string(i), 0 /* unbounded sink */,
-            part(i), part(i));
+            "noc.eject" + std::to_string(i), 0 /* unbounded sink */);
         injectCh_[i] = &inj;
         ejectCh_[i] = &ej;
         routers_[i]->in_[LocalPort] = &inj;
         routers_[i]->out_[LocalPort] = &ej;
     }
 
-    // Directed neighbor links; a link's producer is the upstream
-    // router's partition and its consumer the downstream router's, so
-    // differently-partitioned neighbors get a boundary channel.
+    // Directed neighbor links, each with credit back-pressure: the
+    // upstream router sees a slot its neighbor freed one cycle later.
     const std::uint32_t w = cfg_.width, h = cfg_.height;
     auto link = [&](std::uint32_t from, std::uint32_t to, unsigned dirOut,
                     unsigned dirIn) {
         auto& ch = sim.makeChannel<Packet>(
             "noc.link" + std::to_string(from) + dirNames[dirOut],
-            cfg_.channelCapacity, part(from), part(to));
+            cfg_.channelCapacity);
+        ch.setCreditFlow();
         routers_[from]->out_[dirOut] = &ch;
         routers_[to]->in_[dirIn] = &ch;
         linkCh_.push_back(&ch);
@@ -314,7 +296,6 @@ Noc::Noc(Simulator& sim, const NocConfig& cfg,
                 routers_[i]->in_[p]->addObserver(routers_[i].get());
         }
     }
-    sim.setPartition(basePart);
 }
 
 Noc::~Noc() = default;

@@ -39,17 +39,11 @@ class Noc
 {
   public:
     /**
-     * @param nodeParts optional per-node partition ids (size
-     *        numNodes()): router @c i and its inject/eject channels
-     *        are declared in partition nodeParts[i], making every
-     *        inter-router link of differently-partitioned nodes a
-     *        boundary channel (credit back-pressure, shardable).
-     *        Empty (default) keeps the whole mesh in the simulator's
-     *        current registration partition — single-partition, as
-     *        before.
+     * Every inter-router link is a credit channel (DESIGN.md §8): a
+     * slot freed by the downstream router becomes pushable upstream
+     * at the next commit.  Inject and eject channels are plain.
      */
-    Noc(Simulator& sim, const NocConfig& cfg,
-        const std::vector<std::uint32_t>& nodeParts = {});
+    Noc(Simulator& sim, const NocConfig& cfg);
     ~Noc();
 
     Noc(const Noc&) = delete;
@@ -70,8 +64,7 @@ class Noc
     /**
      * Traffic totals.  Forwarding-side counts (word-hops,
      * deliveries) accumulate per router and injection-side counts
-     * per source node — each mutated only by its owning partition,
-     * so shards never contend — and these accessors sum them.
+     * per source node; these accessors sum them.
      */
     /** Total word-hops traversed (traffic metric for Fig-5). */
     std::uint64_t wordHops() const;
@@ -138,9 +131,7 @@ class Noc
     std::vector<Channel<Packet>*> ejectCh_;
     std::vector<Channel<Packet>*> linkCh_;
 
-    /** Injection-side counters, indexed by source node: inject() is
-     *  called from the source node's partition, so each slot has a
-     *  single writing shard. */
+    /** Injection-side counters, indexed by source node. */
     std::vector<std::uint64_t> injected_;
     std::vector<std::uint64_t> mcastPackets_;
     std::vector<std::uint64_t> mcastUnicastEquivWordHops_;

@@ -20,27 +20,22 @@
  * All three hooks are installed by Simulator::addChannel; a channel
  * used standalone (unit tests) behaves exactly as before.
  *
- * Partition boundaries
+ * Credit back-pressure
  * --------------------
- * Every channel has a producer and a consumer partition (declared at
- * Simulator::addChannel / makeChannel; both default to the
- * simulator's current partition).  A channel whose endpoints differ
- * is a *boundary* channel and uses producer-side credit occupancy
- * for back-pressure: canPush() reads a credit counter that pushes
- * raise immediately but pops lower only at the next commit.  Freed
- * capacity therefore becomes visible one cycle after the pop — the
- * same next-cycle rule values already follow — which makes the
- * producer's view independent of within-cycle tick order across
- * partitions.  That is the lookahead property the sharded
- * (conservative-PDES) core synchronizes on, and it is declared per
- * *partition*, never per shard count, so simulated results are
- * bit-identical for every --shards value including 1.
+ * A channel declared with setCreditFlow() uses producer-side credit
+ * occupancy for back-pressure: canPush() reads a credit counter that
+ * pushes raise immediately but pops lower only at the next commit.
+ * Freed capacity therefore becomes visible to the producer one cycle
+ * after the pop — the same next-cycle rule values already follow —
+ * so the producer's view never depends on whether its consumer ticked
+ * earlier in the same cycle.  The NoC declares every inter-router
+ * link this way; it is part of the modeled link timing (DESIGN.md
+ * §8).  A plain channel frees capacity at the pop.
  */
 
 #ifndef TS_SIM_CHANNEL_HH
 #define TS_SIM_CHANNEL_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -107,65 +102,13 @@ class ChannelBase
     bool dirty() const { return dirty_; }
 
     /**
-     * Declare the producer/consumer partitions (called by
-     * Simulator::addChannel before any traffic).  A cross-partition
-     * channel switches to credit-based back-pressure; see the header
-     * comment.
+     * Declare credit back-pressure (see the header comment).  Must be
+     * called before any traffic.
      */
-    void
-    setEndpoints(std::uint32_t producerPartition,
-                 std::uint32_t consumerPartition)
-    {
-        producerPartition_ = producerPartition;
-        consumerPartition_ = consumerPartition;
-        boundary_ = producerPartition != consumerPartition;
-    }
+    void setCreditFlow() { creditFlow_ = true; }
 
-    std::uint32_t producerPartition() const { return producerPartition_; }
-    std::uint32_t consumerPartition() const { return consumerPartition_; }
-
-    /** Whether the endpoints live in different partitions. */
-    bool boundary() const { return boundary_; }
-
-    /**
-     * Bind the sharded core's per-cycle work flags (consumer-shard
-     * inbox).  @p stagedFlag is raised by every push (any producer
-     * shard; atomic), @p popFlag by every pop (consumer shard only).
-     * Null detaches (single-shard execution).
-     */
-    void
-    setShardFlags(std::atomic<std::uint8_t>* stagedFlag,
-                  std::uint8_t* popFlag)
-    {
-        stagedFlag_ = stagedFlag;
-        popFlag_ = popFlag;
-        shardDetached_ = popFlag != nullptr;
-    }
-
-    /** Whether the sharded integrate phase has work here: staged
-     *  pushes to commit or pops whose credits are unapplied. */
-    bool integratePending() const { return dirty_ || pendingPops_ != 0; }
-
-    /**
-     * Re-bind the live-counter/dirty-list hooks (sharded core:
-     * intra-shard channels move onto their shard's structures,
-     * boundary channels detach — their liveness is scanned at the
-     * coordinator's serialized decision point instead).  Must be
-     * called between cycles (never while dirty).
-     */
-    void
-    rebindHooks(std::int64_t* liveCounter,
-                std::vector<ChannelBase*>* dirtyList)
-    {
-        if (live_) {
-            if (liveCounter_ != nullptr)
-                --*liveCounter_;
-            if (liveCounter != nullptr)
-                ++*liveCounter;
-        }
-        liveCounter_ = liveCounter;
-        dirtyList_ = dirtyList;
-    }
+    /** Whether pops free capacity only at the next commit. */
+    bool creditFlow() const { return creditFlow_; }
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
@@ -197,37 +140,29 @@ class ChannelBase
         }
     }
 
-    /** Producer-side push accounting on a boundary channel. */
+    /** Producer-side push accounting on a credit channel. */
     void
     notePush()
     {
-        if (!boundary_)
-            return;
-        ++credit_;
-        if (stagedFlag_ != nullptr)
-            stagedFlag_->store(1, std::memory_order_relaxed);
+        if (creditFlow_)
+            ++credit_;
     }
 
     /**
-     * Consumer-side pop accounting on a boundary channel: the freed
-     * slot is credited back at the next commit.  Outside the sharded
-     * core the channel marks itself dirty so the commit phase visits
-     * it even on pop-only cycles; inside it the consumer shard's
-     * integrate phase walks its boundary list instead.
+     * Consumer-side pop accounting on a credit channel: the freed
+     * slot is credited back at the next commit, so the channel marks
+     * itself dirty to be visited even on pop-only cycles.
      */
     void
     notePop()
     {
-        if (!boundary_)
+        if (!creditFlow_)
             return;
         ++pendingPops_;
-        if (popFlag_ != nullptr)
-            *popFlag_ = 1;
-        else
-            markDirty();
+        markDirty();
     }
 
-    /** Commit-time credit application (boundary channels). */
+    /** Commit-time credit application (credit channels). */
     void
     applyCredits()
     {
@@ -235,7 +170,7 @@ class ChannelBase
         pendingPops_ = 0;
     }
 
-    /** Producer-visible occupancy of a boundary channel. */
+    /** Producer-visible occupancy of a credit channel. */
     std::size_t credit() const { return credit_; }
 
     /** Reset credit accounting from restored queue contents. */
@@ -249,21 +184,10 @@ class ChannelBase
     /** Commit served this channel; re-arm for the next cycle. */
     void clearDirty() { dirty_ = false; }
 
-    /**
-     * Whether the sharded core owns this boundary channel's commit
-     * (setShardFlags).  Producer and consumer shards then touch it
-     * concurrently within a cycle, so liveness tracking is frozen —
-     * quiescence scans the boundary list at a serialized point
-     * instead — and pop() must not read producer-side staging.
-     */
-    bool shardDetached() const { return shardDetached_; }
-
     /** Track the visible-or-staged liveness transition. */
     void
     setLive(bool v)
     {
-        if (shardDetached_)
-            return;
         if (v != live_) {
             live_ = v;
             if (liveCounter_ != nullptr)
@@ -276,19 +200,11 @@ class ChannelBase
     std::vector<Ticked*> observers_;
     std::int64_t* liveCounter_ = nullptr;
     std::vector<ChannelBase*>* dirtyList_ = nullptr;
-    /** Consumer-shard inbox flag raised on every push (sharded). */
-    std::atomic<std::uint8_t>* stagedFlag_ = nullptr;
-    /** Consumer-shard flag raised on every pop (sharded). */
-    std::uint8_t* popFlag_ = nullptr;
-    /** Commit ownership moved to the sharded integrate phase. */
-    bool shardDetached_ = false;
-    /** Producer-view occupancy (boundary channels only). */
+    /** Producer-view occupancy (credit channels only). */
     std::size_t credit_ = 0;
-    /** Pops since the last commit (boundary channels only). */
+    /** Pops since the last commit (credit channels only). */
     std::size_t pendingPops_ = 0;
-    std::uint32_t producerPartition_ = 0;
-    std::uint32_t consumerPartition_ = 0;
-    bool boundary_ = false;
+    bool creditFlow_ = false;
     bool live_ = false;
     bool dirty_ = false;
 };
@@ -311,7 +227,7 @@ class Channel : public ChannelBase
         : ChannelBase(std::move(name)), capacity_(capacity)
     {}
 
-    /** Whether a push would be accepted this cycle.  On a boundary
+    /** Whether a push would be accepted this cycle.  On a credit
      *  channel the producer sees credit occupancy: capacity freed by
      *  a pop becomes pushable one cycle later (see header). */
     bool
@@ -319,7 +235,7 @@ class Channel : public ChannelBase
     {
         if (capacity_ == 0)
             return true;
-        if (boundary())
+        if (creditFlow())
             return credit() < capacity_;
         return queue_.size() + staging_.size() < capacity_;
     }
@@ -360,9 +276,7 @@ class Channel : public ChannelBase
         T v = std::move(queue_.front());
         queue_.pop_front();
         notePop();
-        // A shard-detached boundary channel must not read staging_
-        // here: the producer's shard may be appending concurrently.
-        if (!shardDetached() && queue_.empty() && staging_.empty())
+        if (queue_.empty() && staging_.empty())
             setLive(false);
         return v;
     }

@@ -162,7 +162,7 @@ class EventQueue
      * does not keep the simulation alive.  Weak events are invisible
      * to empty()/size()/nextTick(), so quiescence detection and
      * deadlock diagnosis ignore them; the fast-forward loop still
-     * stops at weak ticks (see Simulator::runFast) so observers such
+     * stops at weak ticks (see Simulator::loop) so observers such
      * as the timeline sampler fire at exact simulated times without
      * perturbing execution.
      */

@@ -190,20 +190,6 @@ StatSet::matchPrefix(const std::string& prefix) const
     return out;
 }
 
-void
-StatSet::mergeFrom(const StatSet& o)
-{
-    for (const auto& [name, h] : o.hists_) {
-        hists_[name].mergeFrom(h);
-        histsDirty_ = true;
-    }
-    // Scalars add.  Any derived histogram key copied here is
-    // re-materialized (overwritten) by the next sync() because the
-    // matching histogram was merged above.
-    for (const auto& [name, v] : o.values_)
-        values_[name] += v;
-}
-
 std::size_t
 StatSet::size() const
 {
@@ -291,21 +277,6 @@ Histogram::percentile(double q) const
         cum = next;
     }
     return max_;
-}
-
-void
-Histogram::mergeFrom(const Histogram& o)
-{
-    TS_ASSERT(bounds_ == o.bounds_,
-              "merging histograms with different bucket boundaries");
-    if (o.count_ == 0)
-        return;
-    min_ = count_ == 0 ? o.min_ : std::min(min_, o.min_);
-    max_ = std::max(max_, o.max_);
-    count_ += o.count_;
-    sum_ += o.sum_;
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += o.buckets_[i];
 }
 
 void

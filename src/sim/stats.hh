@@ -82,14 +82,6 @@ class Histogram
      *  p99), not raw buckets, under a prefix. */
     void reportSummary(StatSet& stats, const std::string& prefix) const;
 
-    /**
-     * Accumulate another histogram with identical bucket boundaries.
-     * Bucket counts, count, and sum add; min/max combine.  For
-     * integral samples below 2^53 (every cycle-valued probe) the
-     * merged moments equal those of sampling the union directly.
-     */
-    void mergeFrom(const Histogram& o);
-
   private:
     std::vector<double> bounds_;
     std::vector<std::uint64_t> buckets_;
@@ -148,15 +140,6 @@ class StatSet
      *  host-side `sim.host.*` counters from byte-compared dumps). */
     void dumpJson(std::ostream& os,
                   const std::string& excludePrefix = "") const;
-
-    /**
-     * Fold another StatSet into this one: histograms merge
-     * bucket-wise (Histogram::mergeFrom), scalar values add.  Used to
-     * combine per-shard sampling sinks into the run StatSet; derived
-     * histogram keys (`.mean` etc.) are re-materialized from the
-     * merged histograms, so they never double-count.
-     */
-    void mergeFrom(const StatSet& o);
 
     /** Remove all statistics. */
     void

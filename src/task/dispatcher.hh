@@ -269,7 +269,7 @@ class Dispatcher : public Ticked
      * forwarded producer streams.  Created at the *first* forwarding
      * producer's dispatch; the buffer-fit (spill) decision is made
      * once, then is permanent — which is what keeps spills
-     * AOT-deterministic across host parallelism and sharding.
+     * AOT-deterministic across host parallelism and snapshot/fork.
      */
     struct SpatialGroup
     {

@@ -567,10 +567,6 @@ TEST(CanonicalConfigTest, ResultsNeutralFieldsAreExcluded)
 
     // Bit-identity across these is CI-gated, which is exactly what
     // lets a cached result answer for any value of them.
-    DeltaConfig shards;
-    shards.shards = 4;
-    EXPECT_EQ(canonicalConfig(shards), base);
-
     DeltaConfig prof;
     prof.hostProfile = true;
     EXPECT_EQ(canonicalConfig(prof), base);

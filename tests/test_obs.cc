@@ -257,6 +257,40 @@ TEST(HostProfilerTest, UnprofiledRunHasNoHotspotKeys)
     EXPECT_FALSE(stats.has("sim.host.profile.tickLaneNs"));
 }
 
+/** Ticks once every 1000 cycles and sleeps in between, forever. */
+class FarSleeper : public Ticked
+{
+  public:
+    FarSleeper() : Ticked("far_sleeper") {}
+
+    void
+    tick(Tick now) override
+    {
+        ++ticks;
+        sleepUntil(now + 1000);
+    }
+
+    bool busy() const override { return true; }
+
+    int ticks = 0;
+};
+
+TEST(HostProfilerTest, SteppedIdleSkipsBookFastForwardTime)
+{
+    Simulator sim;
+    FarSleeper s;
+    sim.add(&s);
+    obs::HostProfiler prof;
+    sim.setHostProfiler(&prof);
+
+    sim.step(1'000'000);
+
+    EXPECT_EQ(s.ticks, 1000);
+    EXPECT_GT(prof.ns(obs::HostProfiler::FastForward), 0u)
+        << "step() must book its timed wakes and idle-skip target "
+           "math to the fastForward bucket";
+}
+
 // ---------------------------------------------------------------------
 // Timeline: shape, invariants, subsets, caps.
 // ---------------------------------------------------------------------

@@ -7,11 +7,10 @@
  *
  * For each steal policy on skewed workloads this byte-compares the
  * full stats dump (minus sim.host.*) between the reference run and:
- *   - sharded execution (--shards 2 and 4),
  *   - naive per-cycle ticking (--no-fast-forward),
  *   - snapshot/fork warm-started runs (twice from one snapshot).
- * Any divergence means steal protocol state escaped a Snap, a probe
- * slept through a cycle it needed, or a cross-shard message leaked.
+ * Any divergence means steal protocol state escaped a Snap or a probe
+ * slept through a cycle it needed.
  */
 
 #include <gtest/gtest.h>
@@ -72,11 +71,9 @@ resultOf(Delta& delta, Wk wk)
 }
 
 RunResult
-runOnce(Wk wk, StealPolicy steal, std::uint32_t shards,
-        bool noFastForward)
+runOnce(Wk wk, StealPolicy steal, bool noFastForward)
 {
     DeltaConfig cfg = stealConfig(steal);
-    cfg.shards = shards;
     cfg.noFastForward = noFastForward;
     Delta delta(cfg);
     return resultOf(delta, wk);
@@ -107,24 +104,14 @@ TEST_P(StealDifferential, BitIdenticalAcrossExecutionModes)
     const Wk wk = std::get<0>(GetParam());
     const StealPolicy steal = std::get<1>(GetParam());
 
-    const RunResult one = runOnce(wk, steal, 1, false);
+    const RunResult one = runOnce(wk, steal, false);
     ASSERT_TRUE(one.correct);
     if (steal != StealPolicy::None) {
         EXPECT_GT(one.stealRequests, 0.0)
             << "idle lanes never probed: the steal machine is inert";
     }
 
-    for (const std::uint32_t k : {2u, 4u}) {
-        const RunResult sharded = runOnce(wk, steal, k, false);
-        EXPECT_TRUE(sharded.correct) << k << " shards";
-        EXPECT_EQ(sharded.statsJson, one.statsJson)
-            << k << "-shard and single-shard steal runs diverged "
-            << "for " << wkName(wk)
-            << ": a steal message escaped the conservative "
-               "synchronization";
-    }
-
-    const RunResult naive = runOnce(wk, steal, 1, true);
+    const RunResult naive = runOnce(wk, steal, true);
     EXPECT_TRUE(naive.correct);
     EXPECT_EQ(naive.statsJson, one.statsJson)
         << "activity-driven and naive steal runs diverged for "
@@ -173,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Steal, StealingActuallyMovesTasksOnSkewedWork)
 {
     const RunResult r =
-        runOnce(Wk::Tricount, StealPolicy::StealHalf, 1, false);
+        runOnce(Wk::Tricount, StealPolicy::StealHalf, false);
     ASSERT_TRUE(r.correct);
     EXPECT_GT(r.tasksStolen, 0.0)
         << "steal-half on tricount should relocate at least one task";
