@@ -7,9 +7,8 @@
  * All knobs come from the shared options layer (ts::driver
  * RunOptions): call bench::init(&argc, argv) first thing in main()
  * to consume the shared flags (--workloads, --scale, --seed,
- * --trace, --bench-json, --log, -j; each with its TS_* environment
- * fallback) and hand the untouched remainder to
- * benchmark::Initialize().  No bench reads the environment itself.
+ * --trace, --bench-json, --log, -j) and hand the untouched remainder
+ * to benchmark::Initialize().  Nothing reads the environment.
  */
 
 #ifndef TS_BENCH_BENCH_UTIL_HH
@@ -26,16 +25,12 @@
 namespace ts::bench
 {
 
-/** This process's run options.  Defaults to the environment
- *  fallbacks until init() overwrites them with parsed flags. */
+/** This process's run options.  Defaults to RunOptions{} until
+ *  init() overwrites them with parsed flags. */
 inline driver::RunOptions&
 options()
 {
-    static driver::RunOptions opt = [] {
-        driver::RunOptions o = driver::RunOptions::fromEnv();
-        o.applyLogLevel();
-        return o;
-    }();
+    static driver::RunOptions opt;
     return opt;
 }
 
@@ -48,8 +43,8 @@ init(int* argc, char** argv)
 }
 
 /**
- * Workloads this bench process runs (--workloads/TS_WORKLOADS,
- * "all" or unset = whole suite; unknown names fail fast with the
+ * Workloads this bench process runs (--workloads, "all" or unset =
+ * whole suite; unknown names fail fast with the
  * valid names listed).  Both the registration and table-printing
  * loops must use this same list.
  */
@@ -59,9 +54,8 @@ suiteWorkloads()
     return options().workloads;
 }
 
-/** Suite scaling knobs (--scale/TS_SCALE problem-size multiplier,
- *  --seed/TS_SEED) — small CI runs use --scale 0.25 without
- *  rebuilding. */
+/** Suite scaling knobs (--scale problem-size multiplier, --seed) —
+ *  small CI runs use --scale 0.25 without rebuilding. */
 inline SuiteParams
 suiteParams()
 {

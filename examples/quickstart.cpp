@@ -20,9 +20,8 @@ using namespace ts;
 int
 main(int argc, char** argv)
 {
-    // Shared flags (--trace, --stats-json, --no-fast-forward, --log, ...),
-    // each with a TS_* environment fallback.  This is the only layer
-    // that reads the environment; Delta itself never does.
+    // Shared flags (--trace, --stats-json, --no-fast-forward, --log,
+    // ...): the only way to configure a run.
     const driver::RunOptions opt =
         driver::parseCommandLineOrExit(argc, argv);
 

@@ -58,7 +58,7 @@ struct DeltaConfig
     /**
      * Cycle-level tracing (Perfetto/chrome://tracing JSON).  This is
      * the only way tracing is enabled: the accelerator never reads
-     * the environment.  The TS_TRACE fallback lives in the options
+     * the environment.  The --trace flag lives in the options
      * layer — see ts::driver::RunOptions (src/driver/options.hh),
      * whose applyTo() injects it here.
      */
@@ -67,8 +67,7 @@ struct DeltaConfig
     /**
      * When non-empty, Delta::run() dumps the run's full StatSet as
      * flat JSON to this path.  Injected by RunOptions::applyTo()
-     * (TS_STATS_JSON fallback); never read from the environment
-     * here.
+     * (--stats-json).
      */
     std::string statsJsonPath;
 
@@ -76,8 +75,8 @@ struct DeltaConfig
      * Tick every component every cycle instead of running the
      * activity-driven core (Simulator::setFastForward(false)).
      * Bit-identical to the default; exists for differential testing
-     * and host-throughput comparison.  --no-fast-forward /
-     * TS_NO_FAST_FORWARD via RunOptions::applyTo().
+     * and host-throughput comparison.  --no-fast-forward via
+     * RunOptions::applyTo().
      */
     bool noFastForward = false;
 

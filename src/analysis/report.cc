@@ -70,7 +70,7 @@ statsFromJson(const Json& doc)
 
     const Json* flat = &doc;
     if (doc.has("stats") && doc.at("stats").isObj()) {
-        // TS_BENCH_JSON wrapper: metadata + nested stats object.
+        // --bench-json wrapper: metadata + nested stats object.
         flat = &doc.at("stats");
         if (doc.has("workload"))
             out.workload = doc.at("workload").str;

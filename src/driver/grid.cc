@@ -37,9 +37,8 @@ parseSeedList(const std::string& list)
 {
     std::vector<std::uint64_t> out;
     for (const std::string& s : splitList(list)) {
-        char* end = nullptr;
-        const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-        if (end == s.c_str() || *end != '\0')
+        std::uint64_t v = 0;
+        if (!parseUnsigned(s, v))
             fatal("--seeds entries must be non-negative integers, "
                   "got '", s, "'");
         out.push_back(v);
@@ -79,21 +78,10 @@ parseLanes(const std::string& s)
 std::uint64_t
 parseCapBytes(const std::string& s)
 {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    std::uint64_t mult = 1;
-    if (end != s.c_str() && *end != '\0' &&
-        *(end + 1) == '\0') {
-        switch (*end) {
-          case 'K': case 'k': mult = 1ull << 10; break;
-          case 'M': case 'm': mult = 1ull << 20; break;
-          case 'G': case 'g': mult = 1ull << 30; break;
-          default: mult = 0; break;
-        }
-    }
-    if (end == s.c_str() || (*end != '\0' && mult == 1) || mult == 0)
+    std::uint64_t v = 0;
+    if (!parseUnsigned(s, v, /*allowUnit=*/true))
         fatal("--cache-cap must be BYTES[K|M|G], got '", s, "'");
-    return v * mult;
+    return v;
 }
 
 namespace
@@ -102,9 +90,8 @@ namespace
 std::uint32_t
 parsePositive(const std::string& value, const char* key)
 {
-    char* end = nullptr;
-    const long v = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || v < 1)
+    std::uint64_t v = 0;
+    if (!parseUnsigned(value, v) || v < 1 || v > UINT32_MAX)
         fatal("grid key '", key, "' must be a positive integer, "
               "got '", value, "'");
     return static_cast<std::uint32_t>(v);
@@ -210,13 +197,9 @@ const GridKeyDef kGridKeys[] = {
     {"timeline", "non-negative integer (cycles; 0 = off)",
      "delta.timeline.* sampling interval",
      [](const std::string& v, RunOptions& o, GridSettings&) {
-         char* end = nullptr;
-         const std::uint64_t n =
-             std::strtoull(v.c_str(), &end, 10);
-         if (end == v.c_str() || *end != '\0')
+         if (!parseUnsigned(v, o.timelineInterval))
              fatal("grid key 'timeline' must be a non-negative "
                    "integer, got '", v, "'");
-         o.timelineInterval = n;
      }},
     {"timeline-series", "subset of lanes,ready,noc,dram",
      "timeline probe groups (default: all)",

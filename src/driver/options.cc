@@ -3,6 +3,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,11 +46,10 @@ parseScale(const std::string& s, const char* what)
 }
 
 std::uint64_t
-parseSeed(const std::string& s, const char* what)
+parseCount(const std::string& s, const char* what)
 {
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
+    std::uint64_t v = 0;
+    if (!parseUnsigned(s, v))
         fatal(what, " must be a non-negative integer, got '", s, "'");
     return v;
 }
@@ -65,9 +67,8 @@ parseLogLevel(const std::string& s, const char* what)
 unsigned
 parseJobs(const std::string& s, const char* what)
 {
-    char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 1)
+    std::uint64_t v = 0;
+    if (!parseUnsigned(s, v) || v < 1 || v > UINT_MAX)
         fatal(what, " must be a positive integer, got '", s, "'");
     return static_cast<unsigned>(v);
 }
@@ -78,16 +79,6 @@ parseProgress(const std::string& s, const char* what)
     if (s != "auto" && s != "always" && s != "never")
         fatal(what, " must be auto, always, or never, got '", s, "'");
     return s;
-}
-
-std::uint64_t
-parseCount(const std::string& s, const char* what)
-{
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0')
-        fatal(what, " must be a non-negative integer, got '", s, "'");
-    return v;
 }
 
 StealPolicy
@@ -163,89 +154,67 @@ RunOptions::applyLogLevel() const
     setLogVerbosity(logLevel);
 }
 
-RunOptions
-RunOptions::fromEnv()
+bool
+parseUnsigned(const std::string& s, std::uint64_t& out, bool allowUnit)
 {
-    // The single place in the tree that reads the environment: the
-    // legacy TS_* variables remain supported as documented fallbacks
-    // for the shared flags.
-    RunOptions opt;
-    const auto env = [](const char* name) -> std::string {
-        const char* v = std::getenv(name);
-        return v == nullptr ? std::string() : std::string(v);
-    };
-
-    opt.workloads = workloadsFromList(env("TS_WORKLOADS"));
-    if (const std::string s = env("TS_SCALE"); !s.empty())
-        opt.scale = parseScale(s, "TS_SCALE");
-    if (const std::string s = env("TS_SEED"); !s.empty())
-        opt.seed = parseSeed(s, "TS_SEED");
-    if (const std::string s = env("TS_LOG"); !s.empty())
-        opt.logLevel = parseLogLevel(s, "TS_LOG");
-    opt.tracePath = env("TS_TRACE");
-    opt.statsJsonPath = env("TS_STATS_JSON");
-    opt.benchJsonDir = env("TS_BENCH_JSON");
-    if (const std::string s = env("TS_NO_FAST_FORWARD"); !s.empty())
-        opt.noFastForward = s != "0";
-    if (const std::string s = env("TS_STEAL"); !s.empty())
-        opt.steal = parseSteal(s, "TS_STEAL");
-    if (const std::string s = env("TS_SCHED"); !s.empty()) {
-        opt.sched = parseSched(s, "TS_SCHED");
-        opt.schedSet = true;
+    // strtoull skips whitespace and accepts a sign (wrapping "-1" to
+    // 2^64-1), so insist on a leading digit.
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return false;
+    errno = 0;
+    char* end = nullptr;
+    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
+    if (errno == ERANGE)
+        return false;
+    unsigned shift = 0;
+    if (allowUnit && *end != '\0' && end[1] == '\0') {
+        switch (*end++) {
+          case 'K': case 'k': shift = 10; break;
+          case 'M': case 'm': shift = 20; break;
+          case 'G': case 'g': shift = 30; break;
+          default: return false;
+        }
     }
-    if (const std::string s = env("TS_PROGRESS"); !s.empty())
-        opt.progress = parseProgress(s, "TS_PROGRESS");
-    if (const std::string s = env("TS_TIMELINE"); !s.empty())
-        opt.timelineInterval = parseCount(s, "TS_TIMELINE");
-    opt.timelineSeries = env("TS_TIMELINE_SERIES");
-    if (const std::string s = env("TS_HOST_PROFILE"); !s.empty())
-        opt.hostProfile = s != "0";
-    if (const std::string s = env("TS_FLIGHT_RECORDER"); !s.empty())
-        opt.flightRecorder = static_cast<std::size_t>(
-            parseCount(s, "TS_FLIGHT_RECORDER"));
-    return opt;
+    if (*end != '\0' || v > (UINT64_MAX >> shift))
+        return false;
+    out = v << shift;
+    return true;
 }
 
 const char*
 optionsHelp()
 {
     return
-        "shared run options (each falls back to its TS_* variable):\n"
+        "shared run options:\n"
         "  --workloads LIST   comma-separated workloads, 'all' = suite\n"
-        "                     [TS_WORKLOADS]\n"
-        "  --scale X          problem-size multiplier, > 0 [TS_SCALE]\n"
-        "  --seed N           base RNG seed [TS_SEED]\n"
-        "  --trace PATH       Perfetto trace output [TS_TRACE]\n"
-        "  --stats-json PATH  flat StatSet JSON dump [TS_STATS_JSON]\n"
-        "  --bench-json DIR   per-run wrapper dumps [TS_BENCH_JSON]\n"
-        "  --log N            stderr verbosity 0|1|2 [TS_LOG]\n"
+        "  --scale X          problem-size multiplier, > 0\n"
+        "  --seed N           base RNG seed\n"
+        "  --trace PATH       Perfetto trace output\n"
+        "  --stats-json PATH  flat StatSet JSON dump\n"
+        "  --bench-json DIR   per-run wrapper dumps\n"
+        "  --log N            stderr verbosity 0|1|2\n"
         "  --no-fast-forward  naive per-cycle ticking (bit-identical\n"
-        "                     reference mode) [TS_NO_FAST_FORWARD]\n"
+        "                     reference mode)\n"
         "  --steal P          lane work stealing over the NoC:\n"
         "                     none|steal-one|steal-half (behaviour-\n"
         "                     relevant: part of run-cache keys)\n"
-        "                     [TS_STEAL]\n"
         "  --sched P          scheduling policy override:\n"
         "                     static|dyncount|workaware|spatial\n"
         "                     (behaviour-relevant: part of run-cache\n"
-        "                     keys) [TS_SCHED]\n"
+        "                     keys)\n"
         "  --progress[=]MODE  sweep progress lines: auto|always|never\n"
         "                     (auto = only when stderr is a TTY)\n"
-        "                     [TS_PROGRESS]\n"
         "  --timeline N       sample a delta.timeline.* time series\n"
         "                     every N simulated cycles (0 = off)\n"
-        "                     [TS_TIMELINE]\n"
         "  --timeline-series LIST\n"
         "                     probe-group subset out of\n"
         "                     lanes,ready,noc,dram (default: all)\n"
-        "                     [TS_TIMELINE_SERIES]\n"
         "  --host-profile     attribute host wall time per component\n"
         "                     class and phase (sim.host.profile.*)\n"
-        "                     [TS_HOST_PROFILE]\n"
         "  --flight-recorder N\n"
         "                     keep a ring of the last N sleep/wake/\n"
         "                     commit/event records, dumped on\n"
-        "                     deadlock (0 = off) [TS_FLIGHT_RECORDER]\n"
+        "                     deadlock (0 = off)\n"
         "  -j N, --jobs N     host worker threads (default: hardware\n"
         "                     concurrency)\n";
 }
@@ -253,7 +222,7 @@ optionsHelp()
 RunOptions
 parseCommandLine(int& argc, char** argv, bool strict)
 {
-    RunOptions opt = RunOptions::fromEnv();
+    RunOptions opt;
 
     std::vector<char*> keep;
     keep.reserve(static_cast<std::size_t>(argc));
@@ -275,7 +244,7 @@ parseCommandLine(int& argc, char** argv, bool strict)
         } else if (arg == "--scale") {
             opt.scale = parseScale(value("--scale"), "--scale");
         } else if (arg == "--seed") {
-            opt.seed = parseSeed(value("--seed"), "--seed");
+            opt.seed = parseCount(value("--seed"), "--seed");
         } else if (arg == "--log") {
             opt.logLevel = parseLogLevel(value("--log"), "--log");
         } else if (arg == "--trace") {

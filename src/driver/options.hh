@@ -3,29 +3,24 @@
  * RunOptions: the one typed description of "how to run a simulation"
  * shared by every binary in the tree (benches, tools, examples).
  *
- * Design rule: **this layer is the only place that reads the
- * environment.**  Binaries parse the shared command-line flags below;
- * each flag falls back to its legacy TS_* environment variable when
- * the flag is absent, so existing scripts keep working, but no
- * std::getenv() call exists anywhere below src/driver/.
+ * Design rule: **nothing reads the environment.**  Binaries parse
+ * the shared command-line flags below, and those flags are the only
+ * way to set these options; no std::getenv() call exists in the
+ * tree.
  *
- *   flag                    env fallback     meaning
- *   --workloads LIST        TS_WORKLOADS     comma-separated subset
- *                                            ("all"/empty = suite)
- *   --scale X               TS_SCALE         problem-size multiplier
- *   --seed N                TS_SEED          base RNG seed
- *   --trace PATH            TS_TRACE         Perfetto trace output
- *   --stats-json PATH       TS_STATS_JSON    flat StatSet dump
- *   --bench-json DIR        TS_BENCH_JSON    per-run wrapper dumps
- *   --log N                 TS_LOG           stderr verbosity 0|1|2
- *   --no-fast-forward       TS_NO_FAST_FORWARD
- *                                            naive per-cycle ticking
- *   --steal P               TS_STEAL         lane work stealing
- *                                            (none|steal-one|steal-half)
- *   --sched P               TS_SCHED         scheduling policy
- *                                            (static|dyncount|
- *                                            workaware|spatial)
- *   -j N / --jobs N         (none)           host worker threads
+ *   --workloads LIST        comma-separated subset ("all" = suite)
+ *   --scale X               problem-size multiplier
+ *   --seed N                base RNG seed
+ *   --trace PATH            Perfetto trace output
+ *   --stats-json PATH       flat StatSet dump
+ *   --bench-json DIR        per-run wrapper dumps
+ *   --log N                 stderr verbosity 0|1|2
+ *   --no-fast-forward       naive per-cycle ticking
+ *   --steal P               lane work stealing
+ *                           (none|steal-one|steal-half)
+ *   --sched P               scheduling policy
+ *                           (static|dyncount|workaware|spatial)
+ *   -j N / --jobs N         host worker threads
  *
  * parseCommandLine() erases the flags it consumed from argv, so
  * google-benchmark binaries can hand the remainder to
@@ -52,8 +47,8 @@ namespace driver
 struct RunOptions
 {
     /** Workloads this process operates on (the whole suite unless
-     *  narrowed by --workloads/TS_WORKLOADS). */
-    std::vector<Wk> workloads;
+     *  narrowed by --workloads). */
+    std::vector<Wk> workloads = allWorkloads();
 
     double scale = 1.0;      ///< problem-size multiplier (> 0)
     std::uint64_t seed = 7;  ///< base RNG seed
@@ -71,16 +66,16 @@ struct RunOptions
 
     /** NoC work stealing between lane task units
      *  (none|steal-one|steal-half).  Behaviour-relevant: participates
-     *  in canonicalConfig / cache keys.  --steal P / TS_STEAL. */
+     *  in canonicalConfig / cache keys.  --steal P. */
     StealPolicy steal = StealPolicy::None;
 
     /** Scheduling policy override
      *  (static|dyncount|workaware|spatial); only applied when
      *  schedSet (presets keep their own policy otherwise).
      *  Behaviour-relevant: participates in canonicalConfig / cache
-     *  keys.  --sched P / TS_SCHED. */
+     *  keys.  --sched P. */
     SchedPolicy sched = SchedPolicy::WorkAware;
-    bool schedSet = false; ///< --sched/TS_SCHED was given
+    bool schedSet = false; ///< --sched was given
 
     /** Host worker threads for sweep-style drivers (0 = pick
      *  hardware concurrency at use site). */
@@ -90,25 +85,24 @@ struct RunOptions
      * Progress/ETA lines on stderr for sweep-style drivers:
      * "auto" (default) emits them only when stderr is a TTY,
      * "always" forces them (CI logs), "never" suppresses them.
-     * --progress[=]VALUE / TS_PROGRESS.
+     * --progress[=]VALUE.
      */
     std::string progress = "auto";
 
     /** Timeline sampling interval in simulated cycles (0 = off).
-     *  --timeline N / TS_TIMELINE. */
+     *  --timeline N. */
     Tick timelineInterval = 0;
 
     /** Timeline probe-group subset ("lanes,ready,noc,dram"; empty =
-     *  all).  --timeline-series LIST / TS_TIMELINE_SERIES. */
+     *  all).  --timeline-series LIST. */
     std::string timelineSeries;
 
     /** Attribute host wall-ns per component class and simulator
-     *  phase (sim.host.profile.*).  --host-profile /
-     *  TS_HOST_PROFILE. */
+     *  phase (sim.host.profile.*).  --host-profile. */
     bool hostProfile = false;
 
     /** Flight-recorder ring capacity in records (0 = off).
-     *  --flight-recorder N / TS_FLIGHT_RECORDER. */
+     *  --flight-recorder N. */
     std::size_t flightRecorder = 0;
 
     /**
@@ -131,14 +125,6 @@ struct RunOptions
 
     /** Apply logLevel to the process-wide logger (setLogVerbosity). */
     void applyLogLevel() const;
-
-    /**
-     * Options from the environment alone: every TS_* fallback above,
-     * validated exactly like the flags (fatal on bad values, unknown
-     * workload names listed).  This is the only function in the tree
-     * that reads the environment.
-     */
-    static RunOptions fromEnv();
 };
 
 /**
@@ -147,7 +133,7 @@ struct RunOptions
  * unrecognized is left in place for the caller (google-benchmark
  * flags, positional arguments).  With @p strict set, any remaining
  * argument starting with '-' is fatal() listing the valid flags.
- * Starts from fromEnv(), so flags override the environment.
+ * Starts from RunOptions{}: the flags are the only input.
  * `--help` prints optionsHelp() to stdout and exits 0 in strict
  * mode; in lenient mode it is left for the caller's own help path.
  */
@@ -156,6 +142,17 @@ RunOptions parseCommandLine(int& argc, char** argv,
 
 /** One-screen reference for the shared flags (ends with '\n'). */
 const char* optionsHelp();
+
+/**
+ * Parse a non-negative decimal integer into @p out.  With
+ * @p allowUnit, one trailing K, M, or G (either case) multiplies by
+ * 2^10, 2^20, or 2^30.  Returns false, leaving @p out untouched, on
+ * anything but leading digits (so no sign or whitespace), trailing
+ * characters, or a value or product that overflows 64 bits.  Every
+ * unsigned flag, grid key, and list entry parses through this.
+ */
+bool parseUnsigned(const std::string& s, std::uint64_t& out,
+                   bool allowUnit = false);
 
 /** parseCommandLine(strict), but option errors print to stderr and
  *  exit(2) instead of throwing — for examples and small CLIs whose

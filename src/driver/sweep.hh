@@ -156,8 +156,8 @@ struct SweepSpec
      * Called once per retired point, in completion order under the
      * engine's internal lock (so implementations may write to shared
      * streams without further locking).  @p fromCache distinguishes
-     * cache replays from executed runs.  Used by the sweep service
-     * to stream per-cell results.
+     * cache replays from executed runs.  Lets a caller time or
+     * stream per-cell results.
      */
     std::function<void(const RunOutcome& out, bool fromCache)>
         onResult;
@@ -165,8 +165,8 @@ struct SweepSpec
     /**
      * Called as each worker picks up its next point, under the same
      * internal lock as onResult.  @p worker is a dense index in
-     * [0, jobs); together with onResult this lets a live status
-     * surface (the sweep daemon) track what every worker is doing.
+     * [0, jobs); together with onResult this lets a caller track
+     * what every worker is doing (e.g. per-cell wall time).
      */
     std::function<void(unsigned worker, const RunPoint& point)>
         onCellStart;

@@ -15,11 +15,11 @@
  *   0  silent (suppress warnings and info)
  *   1  warnings only (the default)
  *   2  warnings + informational messages
- * The level is process-wide and set via setLogVerbosity(); the TS_LOG
- * environment variable is honored as a fallback by the options layer
- * (src/driver/options.hh), never read here.  warn()/inform() compose
- * their full line before a single stream insertion, so messages from
- * concurrent simulation threads do not interleave mid-line.
+ * The level is process-wide and set via setLogVerbosity(), which the
+ * options layer calls for the --log flag (src/driver/options.hh).
+ * warn()/inform() compose their full line before a single stream
+ * insertion, so messages from concurrent simulation threads do not
+ * interleave mid-line.
  */
 
 #ifndef TS_SIM_LOGGING_HH

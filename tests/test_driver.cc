@@ -1,9 +1,9 @@
 /**
  * @file
- * Driver-layer tests: the RunOptions API (shared flag parser + env
- * fallbacks, the only environment-reading layer in the tree) and the
- * parallel sweep engine (grid expansion, -j N determinism, failure
- * surfacing, deterministic aggregation).
+ * Driver-layer tests: the RunOptions API (the shared flag parser,
+ * the only input to a run) and the parallel sweep engine (grid
+ * expansion, -j N determinism, failure surfacing, deterministic
+ * aggregation).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/grid.hh"
 #include "driver/options.hh"
 #include "driver/sweep.hh"
 #include "sim/logging.hh"
@@ -42,15 +43,6 @@ struct Argv
     char** argv() { return ptrs.data(); }
 };
 
-void
-clearSharedEnv()
-{
-    for (const char* v :
-         {"TS_WORKLOADS", "TS_SCALE", "TS_SEED", "TS_LOG", "TS_TRACE",
-          "TS_STATS_JSON", "TS_BENCH_JSON", "TS_NO_FAST_FORWARD"})
-        ::unsetenv(v);
-}
-
 /** A small, fast grid used by the determinism tests. */
 SweepSpec
 smallSpec()
@@ -67,14 +59,15 @@ smallSpec()
 } // namespace
 
 // ---------------------------------------------------------------------
-// RunOptions: env fallbacks and the shared flag parser.
+// RunOptions: the shared flag parser.
 // ---------------------------------------------------------------------
 
 TEST(RunOptionsTest, DefaultsSelectWholeSuite)
 {
-    clearSharedEnv();
-    const RunOptions opt = RunOptions::fromEnv();
+    Argv a({"prog"});
+    const RunOptions opt = parseCommandLine(a.argc, a.argv());
     EXPECT_EQ(opt.workloads, allWorkloads());
+    EXPECT_EQ(RunOptions{}.workloads, allWorkloads());
     EXPECT_DOUBLE_EQ(opt.scale, 1.0);
     EXPECT_EQ(opt.seed, 7u);
     EXPECT_EQ(opt.logLevel, 1);
@@ -84,17 +77,13 @@ TEST(RunOptionsTest, DefaultsSelectWholeSuite)
     EXPECT_EQ(opt.jobs, 0u);
 }
 
-TEST(RunOptionsTest, EnvFallbacksAreHonored)
+TEST(RunOptionsTest, FlagsSetRunOptions)
 {
-    clearSharedEnv();
-    ASSERT_EQ(::setenv("TS_WORKLOADS", "spmv,msort", 1), 0);
-    ASSERT_EQ(::setenv("TS_SCALE", "0.5", 1), 0);
-    ASSERT_EQ(::setenv("TS_SEED", "123", 1), 0);
-    ASSERT_EQ(::setenv("TS_LOG", "2", 1), 0);
-    ASSERT_EQ(::setenv("TS_STATS_JSON", "/tmp/ts_stats.json", 1), 0);
-    ASSERT_EQ(::setenv("TS_BENCH_JSON", "/tmp/ts_bench", 1), 0);
-    const RunOptions opt = RunOptions::fromEnv();
-    clearSharedEnv();
+    Argv a({"prog", "--workloads", "spmv,msort", "--scale", "0.5",
+            "--seed", "123", "--log", "2", "--stats-json",
+            "/tmp/ts_stats.json", "--bench-json", "/tmp/ts_bench"});
+    const RunOptions opt = parseCommandLine(a.argc, a.argv());
+    setLogVerbosity(1); // --log 2 is process-wide
 
     EXPECT_EQ(opt.workloads,
               (std::vector<Wk>{Wk::Spmv, Wk::Msort}));
@@ -103,28 +92,77 @@ TEST(RunOptionsTest, EnvFallbacksAreHonored)
     EXPECT_EQ(opt.logLevel, 2);
     EXPECT_EQ(opt.statsJsonPath, "/tmp/ts_stats.json");
     EXPECT_EQ(opt.benchJsonDir, "/tmp/ts_bench");
+    EXPECT_EQ(a.argc, 1) << "shared flags must be consumed";
 }
 
-TEST(RunOptionsTest, BadEnvValueFailsFast)
+TEST(RunOptionsTest, BadFlagValueFailsFast)
 {
-    clearSharedEnv();
-    ASSERT_EQ(::setenv("TS_SCALE", "-1", 1), 0);
-    EXPECT_THROW(RunOptions::fromEnv(), FatalError);
-    ASSERT_EQ(::setenv("TS_SCALE", "abc", 1), 0);
-    EXPECT_THROW(RunOptions::fromEnv(), FatalError);
-    clearSharedEnv();
+    const auto parse = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "prog");
+        Argv a(std::move(args));
+        return parseCommandLine(a.argc, a.argv());
+    };
+    EXPECT_THROW(parse({"--scale", "-1"}), FatalError);
+    EXPECT_THROW(parse({"--scale", "abc"}), FatalError);
+
+    // strtoull would wrap a sign to 2^64 - N and saturate on
+    // overflow; every unsigned value must reject both instead.
+    EXPECT_THROW(parse({"--seed", "-1"}), FatalError);
+    EXPECT_THROW(parse({"--seed", "18446744073709551616"}),
+                 FatalError);
+    EXPECT_THROW(parse({"--timeline", "-1"}), FatalError);
+    EXPECT_THROW(parse({"--flight-recorder", "-5"}), FatalError);
+    EXPECT_THROW(parse({"-j", "4294967296"}), FatalError);
+    EXPECT_EQ(parse({"--seed", "18446744073709551615"}).seed,
+              18446744073709551615ull);
+
+    EXPECT_THROW(parseSeedList("1,-3"), FatalError);
+    EXPECT_THROW(parseCapBytes("-1"), FatalError);
+    EXPECT_THROW(parseCapBytes("99999999999G"), FatalError);
+    EXPECT_EQ(parseCapBytes("2G"), 2ull << 30);
+
+    RunOptions opt;
+    GridSettings grid;
+    EXPECT_THROW(applyGridKey("timeline", "-1", opt, grid), FatalError);
+    EXPECT_THROW(applyGridKey("jobs", "-2", opt, grid), FatalError);
+    EXPECT_EQ(opt.timelineInterval, 0u);
 }
 
-TEST(RunOptionsTest, FlagsOverrideEnv)
+TEST(RunOptionsTest, ParseUnsignedRejectsSignAndOverflow)
 {
-    clearSharedEnv();
+    std::uint64_t v = 42;
+    for (const char* bad : {"", "-1", "+1", " 1", "1x", "0x10",
+                            "18446744073709551616", "1K"})
+        EXPECT_FALSE(parseUnsigned(bad, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 42u) << "a rejected value must not be stored";
+
+    ASSERT_TRUE(parseUnsigned("18446744073709551615", v));
+    EXPECT_EQ(v, 18446744073709551615ull);
+    ASSERT_TRUE(parseUnsigned("0", v));
+    EXPECT_EQ(v, 0u);
+
+    ASSERT_TRUE(parseUnsigned("3k", v, /*allowUnit=*/true));
+    EXPECT_EQ(v, 3u << 10);
+    ASSERT_TRUE(parseUnsigned("17179869183G", v, true));
+    EXPECT_EQ(v, 17179869183ull << 30);
+    for (const char* bad : {"17179869184G", "-1K", "1KB", "1T", "K"})
+        EXPECT_FALSE(parseUnsigned(bad, v, true)) << "'" << bad << "'";
+}
+
+TEST(RunOptionsTest, EnvironmentIsIgnored)
+{
     ASSERT_EQ(::setenv("TS_SCALE", "0.5", 1), 0);
     ASSERT_EQ(::setenv("TS_SEED", "123", 1), 0);
+    Argv bare({"prog"});
+    const RunOptions def = parseCommandLine(bare.argc, bare.argv());
     Argv a({"prog", "--scale", "2.0", "--seed", "9", "--workloads",
             "lu", "-j", "4"});
     const RunOptions opt = parseCommandLine(a.argc, a.argv());
-    clearSharedEnv();
+    ::unsetenv("TS_SCALE");
+    ::unsetenv("TS_SEED");
 
+    EXPECT_DOUBLE_EQ(def.scale, 1.0);
+    EXPECT_EQ(def.seed, 7u);
     EXPECT_DOUBLE_EQ(opt.scale, 2.0);
     EXPECT_EQ(opt.seed, 9u);
     EXPECT_EQ(opt.workloads, (std::vector<Wk>{Wk::Lu}));
@@ -132,16 +170,10 @@ TEST(RunOptionsTest, FlagsOverrideEnv)
     EXPECT_EQ(a.argc, 1) << "shared flags must be consumed";
 }
 
-TEST(RunOptionsTest, NoFastForwardFlagAndEnvFallback)
+TEST(RunOptionsTest, NoFastForwardFlag)
 {
-    clearSharedEnv();
-    EXPECT_FALSE(RunOptions::fromEnv().noFastForward);
-
-    ASSERT_EQ(::setenv("TS_NO_FAST_FORWARD", "1", 1), 0);
-    EXPECT_TRUE(RunOptions::fromEnv().noFastForward);
-    ASSERT_EQ(::setenv("TS_NO_FAST_FORWARD", "0", 1), 0);
-    EXPECT_FALSE(RunOptions::fromEnv().noFastForward);
-    clearSharedEnv();
+    Argv none({"prog"});
+    EXPECT_FALSE(parseCommandLine(none.argc, none.argv()).noFastForward);
 
     Argv a({"prog", "--no-fast-forward"});
     const RunOptions opt = parseCommandLine(a.argc, a.argv());
@@ -155,7 +187,6 @@ TEST(RunOptionsTest, NoFastForwardFlagAndEnvFallback)
 
 TEST(RunOptionsTest, LenientParserLeavesUnknownArgs)
 {
-    clearSharedEnv();
     Argv a({"prog", "--benchmark_filter=fig1", "--seed", "3",
             "positional"});
     const RunOptions opt = parseCommandLine(a.argc, a.argv());
@@ -167,7 +198,6 @@ TEST(RunOptionsTest, LenientParserLeavesUnknownArgs)
 
 TEST(RunOptionsTest, StrictParserRejectsUnknownFlagListingValid)
 {
-    clearSharedEnv();
     Argv a({"prog", "--no-such-flag"});
     try {
         parseCommandLine(a.argc, a.argv(), /*strict=*/true);
@@ -182,7 +212,6 @@ TEST(RunOptionsTest, StrictParserRejectsUnknownFlagListingValid)
 
 TEST(RunOptionsTest, UnknownWorkloadFailsListingValid)
 {
-    clearSharedEnv();
     Argv a({"prog", "--workloads", "bogus"});
     try {
         parseCommandLine(a.argc, a.argv());
@@ -197,15 +226,13 @@ TEST(RunOptionsTest, UnknownWorkloadFailsListingValid)
 
 TEST(RunOptionsTest, MissingValueFailsFast)
 {
-    clearSharedEnv();
     Argv a({"prog", "--scale"});
     EXPECT_THROW(parseCommandLine(a.argc, a.argv()), FatalError);
 }
 
 TEST(RunOptionsTest, ApplyToInjectsTraceAndStats)
 {
-    clearSharedEnv();
-    RunOptions opt = RunOptions::fromEnv();
+    RunOptions opt;
     opt.tracePath = "/tmp/ts_applyto_trace.json";
     opt.statsJsonPath = "/tmp/ts_applyto_stats.json";
 

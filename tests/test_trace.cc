@@ -435,14 +435,16 @@ TEST(Trace, TrackIdsAreStableAndOrdered)
     t.finish();
 }
 
-TEST(Trace, EnvFallbackSuffixesLaterInstances)
+TEST(Trace, TraceFlagSuffixesLaterInstances)
 {
-    // The TS_TRACE fallback now lives in the options layer — the
-    // trace subsystem itself never reads the environment.
-    ASSERT_EQ(::setenv("TS_TRACE", "/tmp/ts_env_trace.json", 1), 0);
-    const driver::RunOptions opt = driver::RunOptions::fromEnv();
-    ::unsetenv("TS_TRACE");
-    EXPECT_EQ(opt.tracePath, "/tmp/ts_env_trace.json");
+    // --trace is parsed by the options layer; the trace subsystem
+    // itself never reads the environment.
+    char prog[] = "prog", flag[] = "--trace",
+         path[] = "/tmp/ts_flag_trace.json";
+    char* argv[] = {prog, flag, path, nullptr};
+    int argc = 3;
+    const driver::RunOptions opt = driver::parseCommandLine(argc, argv);
+    EXPECT_EQ(opt.tracePath, "/tmp/ts_flag_trace.json");
 
     const trace::TracerConfig first =
         driver::nextTraceConfig(opt.tracePath);
@@ -459,9 +461,9 @@ TEST(Trace, EnvFallbackSuffixesLaterInstances)
     const trace::TracerConfig off = driver::nextTraceConfig("");
     EXPECT_FALSE(off.enabled) << "an empty path must disable tracing";
 
-    const driver::RunOptions unset = driver::RunOptions::fromEnv();
-    EXPECT_TRUE(unset.tracePath.empty())
-        << "unset env must disable tracing";
+    // The flags were consumed: argv is now just the program name.
+    EXPECT_TRUE(driver::parseCommandLine(argc, argv).tracePath.empty())
+        << "no --trace must disable tracing";
 }
 
 // ---------------------------------------------------------------------

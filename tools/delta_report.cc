@@ -2,8 +2,8 @@
  * @file
  * delta-report: human-readable diagnosis of a Delta run.
  *
- * Ingests the flat stats JSON a run writes (TS_STATS_JSON, or a
- * TS_BENCH_JSON per-bench file) and prints the cycle-accounting
+ * Ingests the flat stats JSON a run writes (--stats-json, or a
+ * --bench-json per-bench file) and prints the cycle-accounting
  * waterfall, per-mechanism speedup attribution, the critical-path
  * bound, and the slowest task types with latency percentiles.
  *
