@@ -108,14 +108,16 @@ Delta::Delta(const DeltaConfig& cfg)
     dcfg.bulkSynchronous = cfg_.bulkSynchronous;
     dcfg.laneQueueCap = cfg_.laneQueueCap;
     dcfg.spmLandingWords = cfg_.lane.spm.sizeWords;
-    dcfg.spatialBufferWords = cfg_.spatialBufferWords;
-    dcfg.spatialRemapFactor = cfg_.spatialRemapFactor;
     dcfg.selfNode = dispatcherNode;
     dcfg.memNode = memNodeId;
-    for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
-        dcfg.laneNodes.push_back(laneNode(i));
+    dcfg.laneNodes = laneNodes;
+    std::optional<SpatialPolicy> spatial;
+    if (cfg_.policy == SchedPolicy::Spatial) {
+        spatial.emplace(laneNodes, cfg_.spatialBufferWords,
+                        cfg_.spatialRemapFactor);
+    }
     dispatcher_ = std::make_unique<Dispatcher>(*noc_, img_, registry_,
-                                               dcfg);
+                                               dcfg, std::move(spatial));
     sim_.add(dispatcher_.get());
 
     if (cfg_.flightRecorder > 0) {
@@ -294,20 +296,12 @@ Delta::run(const TaskGraph& graph)
     }
 
     // -- Per-mechanism attribution (why Delta beats the static
-    // baseline, not just that it does) --
-    stats.set("delta.attrib.loadbalance.actualMaxService",
-              dispatcher_->actualMaxServiceCycles());
-    stats.set("delta.attrib.loadbalance.shadowStaticMaxService",
-              dispatcher_->shadowStaticMaxServiceCycles());
-    stats.set("delta.attrib.loadbalance.imbalanceCyclesAvoided",
-              dispatcher_->imbalanceCyclesAvoided());
+    // baseline, not just that it does).  The dispatcher reports the
+    // load-balance, pipeline and spawn keys and its half of the
+    // multicast, steal and spatial ones; the rest come from the lanes,
+    // the NoC and the AOT plan. --
 
-    // Dynamic-spawn volume and steal attribution: how much the NoC
-    // steal protocol moved, how far it traveled, and how many
-    // imbalance cycles it clawed back relative to the dispatch-time
-    // lane assignment.
-    stats.set("delta.tasksSpawned",
-              static_cast<double>(dispatcher_->tasksSpawned()));
+    // Steal protocol traffic as the lanes saw it.
     if (cfg_.steal != StealPolicy::None) {
         std::uint64_t reqs = 0, grants = 0, denies = 0;
         for (const auto& lane : lanes_) {
@@ -315,40 +309,14 @@ Delta::run(const TaskGraph& graph)
             grants += lane->taskUnit().stealGrantsReceived();
             denies += lane->taskUnit().stealDeniesReceived();
         }
-        stats.set("delta.attrib.steal.tasksStolen",
-                  static_cast<double>(dispatcher_->tasksStolen()));
-        stats.set("delta.attrib.steal.hopsTraveled",
-                  static_cast<double>(
-                      dispatcher_->stealHopsTraveled()));
         stats.set("delta.attrib.steal.requests",
                   static_cast<double>(reqs));
         stats.set("delta.attrib.steal.grants",
                   static_cast<double>(grants));
         stats.set("delta.attrib.steal.denies",
                   static_cast<double>(denies));
-        stats.set("delta.attrib.steal.shadowMaxService",
-                  dispatcher_->stealShadowMaxServiceCycles());
-        stats.set("delta.attrib.steal.imbalanceCyclesRecovered",
-                  dispatcher_->stealImbalanceCyclesRecovered());
     }
 
-    stats.set("delta.attrib.pipeline.overlapCycles",
-              dispatcher_->pipeOverlapCycles());
-    stats.set("delta.attrib.pipeline.pipesActivated",
-              static_cast<double>(dispatcher_->pipesActivated()));
-    stats.set("delta.attrib.pipeline.pipesDegraded",
-              static_cast<double>(dispatcher_->pipesDegraded()));
-
-    const auto fillLines =
-        static_cast<double>(dispatcher_->fillLinesRequested());
-    const auto equivLines =
-        static_cast<double>(dispatcher_->mcastUnicastLinesEquiv());
-    const double linesSaved = std::max(0.0, equivLines - fillLines);
-    stats.set("delta.attrib.multicast.fillLines", fillLines);
-    stats.set("delta.attrib.multicast.unicastLinesEquiv", equivLines);
-    stats.set("delta.attrib.multicast.dramLinesSaved", linesSaved);
-    stats.set("delta.attrib.multicast.dramBytesSaved",
-              linesSaved * lineBytes);
     const auto mcastHops =
         static_cast<double>(noc_->mcastWordHops());
     const auto mcastEquivHops =
@@ -374,14 +342,6 @@ Delta::run(const TaskGraph& graph)
             fwdWords += lane->spatialLanding().wordsReceived();
             chunks += lane->spatialChunksSent();
         }
-        stats.set("delta.spatial.forwards",
-                  static_cast<double>(dispatcher_->spatialForwards()));
-        stats.set("delta.spatial.spills",
-                  static_cast<double>(dispatcher_->spatialSpills()));
-        stats.set("delta.spatial.remaps",
-                  static_cast<double>(dispatcher_->spatialRemaps()));
-        stats.set("delta.spatial.groups",
-                  static_cast<double>(dispatcher_->spatialGroups()));
         const double saved =
             static_cast<double>(suppressed + landingLines);
         stats.set("delta.attrib.spatial.dramLinesSaved", saved);
@@ -397,9 +357,6 @@ Delta::run(const TaskGraph& graph)
                   static_cast<double>(fwdWords));
         stats.set("delta.attrib.spatial.chunks",
                   static_cast<double>(chunks));
-        stats.set("delta.attrib.spatial.bufPeakWords",
-                  static_cast<double>(
-                      dispatcher_->spatialBufPeakWords()));
         stats.set("delta.attrib.spatial.plannedMakespan",
                   static_cast<double>(plan.predictedMakespan));
         stats.set("delta.attrib.spatial.plannedCritPath",

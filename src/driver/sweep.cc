@@ -244,7 +244,9 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     std::ostringstream os;
     // v3: spatial scheduling extended the canonical-config
     // vocabulary (policy=spatial, spatialBuf, spatialRemap).
-    os << "v3 wk=" << wkName(point.workload)
+    // v4: the always-zero dispatcher.groupMembersDegraded stat was
+    // dropped, so v3 dumps no longer replay byte-identically.
+    os << "v4 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
        << canonicalConfig(resolvePointConfig(spec, point));

@@ -9,7 +9,6 @@
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
-#include "spatial/spatial.hh"
 #include "trace/trace.hh"
 
 namespace ts
@@ -17,6 +16,26 @@ namespace ts
 
 namespace
 {
+
+/** Packets injected into the NoC per cycle. */
+constexpr std::uint32_t kSendPerCycle = 2;
+/** Upper bound on how long a ready task with soon-joinable pipeline
+ *  consumers is held back so whole pipeline regions co-dispatch
+ *  (holding is free: the blockers are running on the lanes anyway). */
+constexpr Tick kPipelineHoldCycles = 65536;
+/** Even with idle lanes, a ready task with pending pipeline consumers
+ *  waits this long so near-simultaneous siblings can coalesce into
+ *  one co-dispatched region. */
+constexpr Tick kPipelineGraceCycles = 768;
+
+double
+maxOf(const std::vector<double>& v)
+{
+    double m = 0;
+    for (const double x : v)
+        m = std::max(m, x);
+    return m;
+}
 
 /** Unique pipe identity for a producer output port. */
 std::uint64_t
@@ -51,20 +70,30 @@ schedPolicyFromName(const std::string& s, SchedPolicy& out)
 
 Dispatcher::Dispatcher(Noc& noc, const MemImage& img,
                        const TaskTypeRegistry& registry,
-                       const DispatcherConfig& cfg)
+                       const DispatcherConfig& cfg,
+                       std::optional<SpatialPolicy> spatial)
     : Ticked("dispatcher"), noc_(noc), img_(img), registry_(registry),
-      cfg_(cfg)
+      cfg_(cfg), spatial_(std::move(spatial))
 {
     if (cfg_.laneNodes.empty())
         fatal("dispatcher needs at least one lane");
+    if (spatial_.has_value() != (cfg_.policy == SchedPolicy::Spatial))
+        fatal("dispatcher: spatial policy state must be given exactly "
+              "when the policy is spatial");
     laneQueued_.assign(cfg_.laneNodes.size(), 0);
     laneWork_.assign(cfg_.laneNodes.size(), 0.0);
     laneDispatched_.assign(cfg_.laneNodes.size(), 0);
     actualService_.assign(cfg_.laneNodes.size(), 0.0);
     shadowService_.assign(cfg_.laneNodes.size(), 0.0);
     stealShadowService_.assign(cfg_.laneNodes.size(), 0.0);
-    spatialLaneBufUsed_.assign(cfg_.laneNodes.size(), 0);
     noc_.eject(cfg_.selfNode).addObserver(this);
+}
+
+void
+Dispatcher::setSpatialPlan(std::vector<std::int32_t> lanes)
+{
+    TS_ASSERT(spatial_, "a spatial plan needs SchedPolicy::Spatial");
+    spatial_->setPlan(std::move(lanes));
 }
 
 void
@@ -140,8 +169,7 @@ Dispatcher::processInbox(Tick now)
             onSpawn(std::any_cast<SpawnMsg>(pkt.payload), now);
             break;
           case PktKind::StealNotify:
-            onStealNotify(std::any_cast<StealNotifyMsg>(pkt.payload),
-                          now);
+            onStealNotify(std::any_cast<StealNotifyMsg>(pkt.payload));
             break;
           default:
             panic("dispatcher received unexpected packet kind");
@@ -210,7 +238,8 @@ Dispatcher::onComplete(const CompleteMsg& msg, Tick now)
     TS_ASSERT(laneQueued_[ts.lane] > 0);
     --laneQueued_[ts.lane];
     laneWork_[ts.lane] -= ts.workEst;
-    spatialRelease(msg.uid);
+    if (spatial_)
+        spatial_->release(msg.uid);
 
     for (std::size_t ei : ts.outEdges) {
         EdgeState& es = edges_[ei];
@@ -275,11 +304,14 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         states_.push_back(std::move(ns));
     }
     tasksSpawned_ += set.tasks.size();
-    spatialPlanSpawned(msg.spawner, base, set.tasks.size(),
-                       set.transferTo != SpawnSet::kNoTransfer
-                           ? static_cast<std::int64_t>(
-                                 resolve(set.transferTo))
-                           : -1);
+    if (spatial_) {
+        spatial_->planSpawned(*this, msg.spawner, base,
+                              set.tasks.size(),
+                              set.transferTo != SpawnSet::kNoTransfer
+                                  ? static_cast<std::int64_t>(
+                                        resolve(set.transferTo))
+                                  : -1);
+    }
 
     for (const SpawnSet::Edge& e : set.edges) {
         const TaskId p = resolve(e.producer);
@@ -407,9 +439,8 @@ Dispatcher::applyStealMove(TaskId uid, std::uint32_t toLane)
 }
 
 void
-Dispatcher::onStealNotify(const StealNotifyMsg& msg, Tick now)
+Dispatcher::onStealNotify(const StealNotifyMsg& msg)
 {
-    (void)now;
     for (const TaskId uid : msg.uids) {
         const TaskState& ts = states_.at(uid);
         // The thief's CompleteMsg may have beaten this notify here
@@ -598,212 +629,11 @@ Dispatcher::pickLane(TaskId id,
         // Hard pinning: forwarding decisions already named this lane
         // as the consumer's landing site, so the task waits for a
         // queue slot rather than migrate.
-        const std::size_t l = spatialPlannedLane(id);
+        const std::size_t l = spatial_->plannedLane(id);
         return available(l) ? static_cast<std::int32_t>(l) : -1;
       }
     }
     return -1;
-}
-
-std::uint32_t
-Dispatcher::spatialPlannedLane(TaskId id) const
-{
-    if (id < plannedLane_.size() && plannedLane_[id] >= 0)
-        return static_cast<std::uint32_t>(plannedLane_[id]);
-    return id % static_cast<std::uint32_t>(cfg_.laneNodes.size());
-}
-
-void
-Dispatcher::spatialPlanSpawned(TaskId spawner, std::size_t base,
-                               std::size_t count, std::int64_t heir)
-{
-    if (cfg_.policy != SchedPolicy::Spatial || count == 0)
-        return;
-    if (plannedLane_.size() < base)
-        plannedLane_.resize(base, -1);
-    plannedLane_.resize(base + count, -1);
-
-    // The transfer heir inherits the spawner's planned lane: the AOT
-    // plan put the spawner where its (now transferred) successors
-    // want their producer, and sibling outputs forward into the heir
-    // over the NoC regardless of where the siblings land.  Escape
-    // hatch: when the inherited lane is overloaded relative to the
-    // mean, the heir moves to the least-loaded lane (lowest index
-    // wins, keeping the decision deterministic).
-    std::uint32_t inherit = spatialPlannedLane(spawner);
-    double mean = 0.0;
-    for (const double w : laneWork_)
-        mean += w;
-    mean /= static_cast<double>(laneWork_.size());
-    if (laneWork_[inherit] > cfg_.spatialRemapFactor * mean) {
-        std::uint32_t best = 0;
-        for (std::uint32_t l = 1; l < laneWork_.size(); ++l) {
-            if (laneWork_[l] < laneWork_[best])
-                best = l;
-        }
-        if (best != inherit) {
-            inherit = best;
-            ++spatialRemaps_;
-        }
-    }
-
-    // Non-heir siblings are fresh parallel work; serializing them on
-    // the spawner's lane would forfeit the recursion's parallelism.
-    // Spread them over the least-loaded lanes, tracking this call's
-    // own placements by estimated work (deterministic: laneWork_ and
-    // workEst are simulated state).
-    std::vector<double> load = laneWork_;
-    const bool heirLocal =
-        heir >= 0 && static_cast<std::size_t>(heir) >= base &&
-        static_cast<std::size_t>(heir) < base + count;
-    if (heirLocal) {
-        plannedLane_[static_cast<std::size_t>(heir)] =
-            static_cast<std::int32_t>(inherit);
-        load[inherit] +=
-            states_[static_cast<std::size_t>(heir)].workEst;
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t id = base + k;
-        if (heirLocal && static_cast<std::size_t>(heir) == id)
-            continue;
-        std::uint32_t best = 0;
-        for (std::uint32_t l = 1; l < load.size(); ++l) {
-            if (load[l] < load[best])
-                best = l;
-        }
-        plannedLane_[id] = static_cast<std::int32_t>(best);
-        load[best] += states_[id].workEst;
-    }
-}
-
-void
-Dispatcher::spatialResolveProducer(TaskId id, DispatchMsg& pm)
-{
-    const TaskState& ps = states_[id];
-    const bool builtin =
-        registry_.type(ps.inst.type).isBuiltin();
-    for (std::size_t oi = 0; oi < pm.outputs.size(); ++oi) {
-        WriteDesc& out = pm.outputs[oi];
-        if (!spatial::forwardableOutput(out))
-            continue;
-        // Builtin bodies only stream outputs[0] through the timed
-        // write path (see TaskUnit::BuiltinWrite).
-        if (builtin && oi != 0)
-            continue;
-
-        // Forward to every successor whose eligible input covers this
-        // output; suppress the DRAM write-back only when *all*
-        // successors that touch the range were forwarded (an
-        // un-analyzable reader keeps the round-trip).
-        bool touched = false;
-        bool forwardedAll = true;
-        std::vector<std::uint64_t> fwdGroups; // dedupe multi-edges
-        for (std::size_t ei : ps.outEdges) {
-            const TaskId c = edges_[ei].e.consumer;
-            const TaskState& cs = states_[c];
-            if (cs.dispatched || cs.completed)
-                continue;
-            for (std::size_t p = 0; p < cs.inst.inputs.size(); ++p) {
-                const StreamDesc& in = cs.inst.inputs[p];
-                if (in.dataSpace != Space::Dram)
-                    continue;
-                const bool eligible =
-                    spatial::landingEligibleInput(in) &&
-                    cs.inst.inputGroup[p] == kNoGroup;
-                if (!eligible) {
-                    // Gather/CSR reads have no statically known
-                    // range: assume they may touch this output.
-                    if (in.kind != StreamDesc::Kind::Linear ||
-                        spatial::outputFeedsInput(out, in)) {
-                        touched = true;
-                        forwardedAll = false;
-                    }
-                    continue;
-                }
-                if (!spatial::outputFeedsInput(out, in))
-                    continue;
-                touched = true;
-                const std::uint64_t g = spatial::landingGroup(
-                    c, static_cast<std::uint8_t>(p));
-                if (std::find(fwdGroups.begin(), fwdGroups.end(),
-                              g) != fwdGroups.end()) {
-                    continue;
-                }
-                auto it = spatialGroups_.find(g);
-                if (it == spatialGroups_.end()) {
-                    SpatialGroup sg;
-                    sg.consumer = c;
-                    sg.port = static_cast<std::uint8_t>(p);
-                    sg.lane = static_cast<std::int32_t>(
-                        spatialPlannedLane(c));
-                    sg.bufWords = spatial::landingBufWords(in);
-                    if (spatialLaneBufUsed_[sg.lane] + sg.bufWords >
-                        cfg_.spatialBufferWords) {
-                        sg.spilled = true;
-                        ++spatialSpills_;
-                    } else {
-                        spatialLaneBufUsed_[sg.lane] += sg.bufWords;
-                        sg.allocated = true;
-                        ++spatialGroupsAllocated_;
-                        spatialBufPeak_ =
-                            std::max(spatialBufPeak_,
-                                     spatialLaneBufUsed_[sg.lane]);
-                    }
-                    it = spatialGroups_.emplace(g, sg).first;
-                }
-                if (it->second.spilled) {
-                    forwardedAll = false;
-                    continue;
-                }
-                out.spatialDsts.push_back(WriteDesc::SpatialDst{
-                    cfg_.laneNodes[it->second.lane], g});
-                ++it->second.expectedDones;
-                ++spatialForwards_;
-                fwdGroups.push_back(g);
-                if (trace::on()) {
-                    auto* t = trace::active();
-                    t->instant(t->track(name()), "spatialForward",
-                               trace::args("producer", id, "consumer",
-                                           c));
-                }
-            }
-        }
-        if (touched && forwardedAll && !out.spatialDsts.empty())
-            out.spatialSuppress = true;
-    }
-}
-
-void
-Dispatcher::spatialRewriteConsumer(TaskId id, DispatchMsg& m)
-{
-    for (std::size_t p = 0; p < m.inputs.size(); ++p) {
-        const std::uint64_t g = spatial::landingGroup(
-            id, static_cast<std::uint8_t>(p));
-        const auto it = spatialGroups_.find(g);
-        if (it == spatialGroups_.end() || it->second.spilled ||
-            it->second.expectedDones == 0) {
-            continue;
-        }
-        m.inputs[p].spatialLanding = true;
-        m.waitSpatial.push_back(
-            SpatialWait{g, it->second.expectedDones});
-    }
-}
-
-void
-Dispatcher::spatialRelease(TaskId uid)
-{
-    const std::uint64_t lo = static_cast<std::uint64_t>(uid) << 3;
-    auto it = spatialGroups_.lower_bound(lo);
-    while (it != spatialGroups_.end() && it->first <= (lo | 7)) {
-        if (it->second.allocated) {
-            TS_ASSERT(spatialLaneBufUsed_[it->second.lane] >=
-                      it->second.bufWords);
-            spatialLaneBufUsed_[it->second.lane] -=
-                it->second.bufWords;
-        }
-        it = spatialGroups_.erase(it);
-    }
 }
 
 void
@@ -897,7 +727,6 @@ Dispatcher::fireGroup(std::uint32_t groupId)
 bool
 Dispatcher::tryDispatchHead(Tick now)
 {
-    (void)now;
     const TaskId root = readyQ_.front();
     TaskState& rs = states_[root];
     if (rs.dispatched || rs.completed) {
@@ -922,10 +751,9 @@ Dispatcher::tryDispatchHead(Tick now)
     // 1. Pipeline closure (TaskStream) or the single task (baseline).
     // Spatial dispatch is always solo: forwarding happens through
     // landing zones, not co-dispatched pipe batches.
-    std::vector<TaskId> closure =
-        (cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial)
-            ? pipelineClosure(root)
-            : std::vector<TaskId>{root};
+    std::vector<TaskId> closure = cfg_.enablePipeline && !spatial_
+                                      ? pipelineClosure(root)
+                                      : std::vector<TaskId>{root};
 
     // Cap the batch at the total free queue slots (members may share
     // lanes; intra-batch uid order keeps per-lane queues topological,
@@ -958,10 +786,9 @@ Dispatcher::tryDispatchHead(Tick now)
     }
     const Tick waited = now - rs.readyAt;
     const bool withinHold =
-        (allLanesBusy && waited < cfg_.pipelineHoldCycles) ||
-        waited < cfg_.pipelineGraceCycles;
-    if (cfg_.enablePipeline && cfg_.policy != SchedPolicy::Spatial &&
-        withinHold) {
+        (allLanesBusy && waited < kPipelineHoldCycles) ||
+        waited < kPipelineGraceCycles;
+    if (cfg_.enablePipeline && !spatial_ && withinHold) {
         for (const TaskId member : closure) {
             for (std::size_t ei : states_[member].outEdges) {
                 const EdgeState& es = edges_[ei];
@@ -1020,8 +847,7 @@ Dispatcher::tryDispatchHead(Tick now)
         // co-dispatch batch whose intra-lane uid order must survive.
         // Spatial tasks never migrate — the plan pinned their lane.
         m.stealable = cfg_.steal != StealPolicy::None &&
-                      placed.size() == 1 &&
-                      cfg_.policy != SchedPolicy::Spatial;
+                      placed.size() == 1 && !spatial_;
         msgs.emplace(id, std::move(m));
     }
 
@@ -1119,10 +945,14 @@ Dispatcher::tryDispatchHead(Tick now)
     // 4.5 Spatial rewrites: gate the consumer side on forwarded
     // streams already decided by its producers' dispatches, then
     // make this batch's own producer-side forwarding decisions.
-    if (cfg_.policy == SchedPolicy::Spatial) {
+    if (spatial_) {
         for (TaskId id : placed) {
-            spatialRewriteConsumer(id, msgs.at(id));
-            spatialResolveProducer(id, msgs.at(id));
+            DispatchMsg& m = msgs.at(id);
+            spatial_->rewriteConsumer(id, m);
+            spatial_->resolveProducer(
+                *this, id,
+                registry_.type(states_[id].inst.type).isBuiltin(), m,
+                name());
         }
     }
 
@@ -1144,7 +974,7 @@ Dispatcher::tick(Tick now)
     processInbox(now);
 
     // Drain the send queue.
-    std::uint32_t sends = cfg_.sendPerCycle;
+    std::uint32_t sends = kSendPerCycle;
     while (sends > 0 && !sendQ_.empty()) {
         if (!noc_.inject(sendQ_.front()))
             break;
@@ -1180,47 +1010,6 @@ Dispatcher::tick(Tick now)
     }
 }
 
-double
-Dispatcher::actualMaxServiceCycles() const
-{
-    double m = 0;
-    for (const double v : actualService_)
-        m = std::max(m, v);
-    return m;
-}
-
-double
-Dispatcher::shadowStaticMaxServiceCycles() const
-{
-    double m = 0;
-    for (const double v : shadowService_)
-        m = std::max(m, v);
-    return m;
-}
-
-double
-Dispatcher::imbalanceCyclesAvoided() const
-{
-    return std::max(0.0, shadowStaticMaxServiceCycles() -
-                             actualMaxServiceCycles());
-}
-
-double
-Dispatcher::stealShadowMaxServiceCycles() const
-{
-    double m = 0;
-    for (const double v : stealShadowService_)
-        m = std::max(m, v);
-    return m;
-}
-
-double
-Dispatcher::stealImbalanceCyclesRecovered() const
-{
-    return std::max(0.0, stealShadowMaxServiceCycles() -
-                             actualMaxServiceCycles());
-}
-
 std::vector<TaskSpan>
 Dispatcher::taskSpans() const
 {
@@ -1249,135 +1038,89 @@ Dispatcher::busy() const
 void
 Dispatcher::reportStats(StatSet& stats) const
 {
-    stats.set("dispatcher.pipesActivated",
-              static_cast<double>(pipesActivated_));
-    stats.set("dispatcher.pipesDegraded",
-              static_cast<double>(pipesDegraded_));
+    const double actualMax = maxOf(actualService_);
+    const double shadowMax = maxOf(shadowService_);
+    const double stealShadowMax = maxOf(stealShadowService_);
+    const double avoided = std::max(0.0, shadowMax - actualMax);
+    const double recovered = std::max(0.0, stealShadowMax - actualMax);
+    const auto activated = static_cast<double>(pipesActivated_);
+    const auto degraded = static_cast<double>(pipesDegraded_);
+    const auto fillLines = static_cast<double>(fillLinesRequested_);
+    const auto equivLines = static_cast<double>(mcastUnicastLinesEquiv_);
+    const auto spawned = static_cast<double>(tasksSpawned_);
+    const auto stolen = static_cast<double>(tasksStolen_);
+    const auto hops = static_cast<double>(stealHops_);
+
+    stats.set("dispatcher.pipesActivated", activated);
+    stats.set("dispatcher.pipesDegraded", degraded);
     stats.set("dispatcher.groupsFired",
               static_cast<double>(groupsFired_));
-    stats.set("dispatcher.groupMembersDegraded",
-              static_cast<double>(groupMembersDegraded_));
-    stats.set("dispatcher.fillLines",
-              static_cast<double>(fillLinesRequested_));
+    stats.set("dispatcher.fillLines", fillLines);
     stats.set("dispatcher.tasksCompleted",
               static_cast<double>(completed_));
-    stats.set("dispatcher.attrib.actualMaxService",
-              actualMaxServiceCycles());
-    stats.set("dispatcher.attrib.shadowStaticMaxService",
-              shadowStaticMaxServiceCycles());
-    stats.set("dispatcher.attrib.imbalanceCyclesAvoided",
-              imbalanceCyclesAvoided());
-    stats.set("dispatcher.attrib.pipeOverlapCycles",
-              pipeOverlapCycles_);
-    stats.set("dispatcher.attrib.mcastUnicastLinesEquiv",
-              static_cast<double>(mcastUnicastLinesEquiv_));
-    stats.set("dispatcher.tasksSpawned",
-              static_cast<double>(tasksSpawned_));
-    stats.set("dispatcher.attrib.steal.tasksStolen",
-              static_cast<double>(tasksStolen_));
-    stats.set("dispatcher.attrib.steal.hopsTraveled",
-              static_cast<double>(stealHops_));
-    stats.set("dispatcher.attrib.steal.shadowMaxService",
-              stealShadowMaxServiceCycles());
+    stats.set("dispatcher.attrib.actualMaxService", actualMax);
+    stats.set("dispatcher.attrib.shadowStaticMaxService", shadowMax);
+    stats.set("dispatcher.attrib.imbalanceCyclesAvoided", avoided);
+    stats.set("dispatcher.attrib.pipeOverlapCycles", pipeOverlapCycles_);
+    stats.set("dispatcher.attrib.mcastUnicastLinesEquiv", equivLines);
+    stats.set("dispatcher.tasksSpawned", spawned);
+    stats.set("dispatcher.attrib.steal.tasksStolen", stolen);
+    stats.set("dispatcher.attrib.steal.hopsTraveled", hops);
+    stats.set("dispatcher.attrib.steal.shadowMaxService", stealShadowMax);
     stats.set("dispatcher.attrib.steal.imbalanceCyclesRecovered",
-              stealImbalanceCyclesRecovered());
-    if (cfg_.policy == SchedPolicy::Spatial) {
-        stats.set("dispatcher.spatial.forwards",
-                  static_cast<double>(spatialForwards_));
-        stats.set("dispatcher.spatial.spills",
-                  static_cast<double>(spatialSpills_));
-        stats.set("dispatcher.spatial.remaps",
-                  static_cast<double>(spatialRemaps_));
-        stats.set("dispatcher.spatial.groups",
-                  static_cast<double>(spatialGroupsAllocated_));
-        stats.set("dispatcher.spatial.bufPeakWords",
-                  static_cast<double>(spatialBufPeak_));
-    }
+              recovered);
     for (std::size_t l = 0; l < laneDispatched_.size(); ++l) {
         stats.set("dispatcher.lane" + std::to_string(l) + ".dispatched",
                   static_cast<double>(laneDispatched_[l]));
     }
+
+    // Per-mechanism attribution (delta.attrib.*): the imbalance the
+    // dispatch policy avoided against the shadow static assignment,
+    // and the overlap activated pipes recovered.
+    stats.set("delta.attrib.loadbalance.actualMaxService", actualMax);
+    stats.set("delta.attrib.loadbalance.shadowStaticMaxService",
+              shadowMax);
+    stats.set("delta.attrib.loadbalance.imbalanceCyclesAvoided", avoided);
+    stats.set("delta.attrib.pipeline.overlapCycles", pipeOverlapCycles_);
+    stats.set("delta.attrib.pipeline.pipesActivated", activated);
+    stats.set("delta.attrib.pipeline.pipesDegraded", degraded);
+    // Multicast: DRAM lines requested vs. the unicast replay (the NoC
+    // half is reported by Delta::run).
+    const double linesSaved = std::max(0.0, equivLines - fillLines);
+    stats.set("delta.attrib.multicast.fillLines", fillLines);
+    stats.set("delta.attrib.multicast.unicastLinesEquiv", equivLines);
+    stats.set("delta.attrib.multicast.dramLinesSaved", linesSaved);
+    stats.set("delta.attrib.multicast.dramBytesSaved",
+              linesSaved * lineBytes);
+    // Steal: how far stolen tasks traveled and the imbalance recovered
+    // against the dispatch-time assignment (the lanes report the
+    // request/grant half).
+    stats.set("delta.tasksSpawned", spawned);
+    if (cfg_.steal != StealPolicy::None) {
+        stats.set("delta.attrib.steal.tasksStolen", stolen);
+        stats.set("delta.attrib.steal.hopsTraveled", hops);
+        stats.set("delta.attrib.steal.shadowMaxService", stealShadowMax);
+        stats.set("delta.attrib.steal.imbalanceCyclesRecovered",
+                  recovered);
+    }
+    if (spatial_)
+        spatial_->reportStats(stats);
 }
 
-/** TaskState owns its TaskInstance by value (spawned tasks have no
- *  host TaskGraph backing), so the snapshot deep-copies the full
- *  dynamic dependence state. */
+/** Both parts are plain values; TaskState owns its TaskInstance (spawned
+ *  tasks have no host TaskGraph backing), so the copy is deep. */
 struct Dispatcher::Snap final : ComponentSnap
 {
-    std::vector<TaskState> states;
-    std::vector<EdgeState> edges;
-    std::vector<GroupState> groups;
-    std::deque<TaskId> readyQ;
-    std::deque<Packet> sendQ;
-    std::vector<std::uint32_t> laneQueued;
-    std::vector<double> laneWork;
-    std::vector<std::uint64_t> laneDispatched;
-    std::uint64_t landingBrk = 0;
-    std::size_t completed = 0;
-    std::uint32_t curLevel = 0;
-    std::vector<std::uint32_t> levelRemaining;
-    std::size_t tracedReadyDepth = static_cast<std::size_t>(-1);
-    std::uint64_t pipesActivated = 0;
-    std::uint64_t pipesDegraded = 0;
-    std::uint64_t groupsFired = 0;
-    std::uint64_t groupMembersDegraded = 0;
-    std::uint64_t fillLinesRequested = 0;
-    std::vector<double> actualService;
-    std::vector<double> shadowService;
-    std::vector<double> stealShadowService;
-    double pipeOverlapCycles = 0;
-    std::uint64_t mcastUnicastLinesEquiv = 0;
-    std::uint64_t tasksSpawned = 0;
-    std::uint64_t tasksStolen = 0;
-    std::uint64_t stealHops = 0;
-    std::vector<std::int32_t> plannedLane;
-    std::map<std::uint64_t, SpatialGroup> spatialGroups;
-    std::vector<std::uint64_t> spatialLaneBufUsed;
-    std::uint64_t spatialBufPeak = 0;
-    std::uint64_t spatialForwards = 0;
-    std::uint64_t spatialSpills = 0;
-    std::uint64_t spatialRemaps = 0;
-    std::uint64_t spatialGroupsAllocated = 0;
+    DispatcherState state;
+    std::optional<SpatialPolicy> spatial;
 };
 
 std::unique_ptr<ComponentSnap>
 Dispatcher::saveState() const
 {
     auto s = std::make_unique<Snap>();
-    s->states = states_;
-    s->edges = edges_;
-    s->groups = groups_;
-    s->readyQ = readyQ_;
-    s->sendQ = sendQ_;
-    s->laneQueued = laneQueued_;
-    s->laneWork = laneWork_;
-    s->laneDispatched = laneDispatched_;
-    s->landingBrk = landingBrk_;
-    s->completed = completed_;
-    s->curLevel = curLevel_;
-    s->levelRemaining = levelRemaining_;
-    s->tracedReadyDepth = tracedReadyDepth_;
-    s->pipesActivated = pipesActivated_;
-    s->pipesDegraded = pipesDegraded_;
-    s->groupsFired = groupsFired_;
-    s->groupMembersDegraded = groupMembersDegraded_;
-    s->fillLinesRequested = fillLinesRequested_;
-    s->actualService = actualService_;
-    s->shadowService = shadowService_;
-    s->stealShadowService = stealShadowService_;
-    s->pipeOverlapCycles = pipeOverlapCycles_;
-    s->mcastUnicastLinesEquiv = mcastUnicastLinesEquiv_;
-    s->tasksSpawned = tasksSpawned_;
-    s->tasksStolen = tasksStolen_;
-    s->stealHops = stealHops_;
-    s->plannedLane = plannedLane_;
-    s->spatialGroups = spatialGroups_;
-    s->spatialLaneBufUsed = spatialLaneBufUsed_;
-    s->spatialBufPeak = spatialBufPeak_;
-    s->spatialForwards = spatialForwards_;
-    s->spatialSpills = spatialSpills_;
-    s->spatialRemaps = spatialRemaps_;
-    s->spatialGroupsAllocated = spatialGroupsAllocated_;
+    s->state = *this;
+    s->spatial = spatial_;
     return s;
 }
 
@@ -1385,40 +1128,8 @@ void
 Dispatcher::restoreState(const ComponentSnap& snap)
 {
     const Snap& s = snapCast<Snap>(snap);
-    states_ = s.states;
-    edges_ = s.edges;
-    groups_ = s.groups;
-    readyQ_ = s.readyQ;
-    sendQ_ = s.sendQ;
-    laneQueued_ = s.laneQueued;
-    laneWork_ = s.laneWork;
-    laneDispatched_ = s.laneDispatched;
-    landingBrk_ = s.landingBrk;
-    completed_ = s.completed;
-    curLevel_ = s.curLevel;
-    levelRemaining_ = s.levelRemaining;
-    tracedReadyDepth_ = s.tracedReadyDepth;
-    pipesActivated_ = s.pipesActivated;
-    pipesDegraded_ = s.pipesDegraded;
-    groupsFired_ = s.groupsFired;
-    groupMembersDegraded_ = s.groupMembersDegraded;
-    fillLinesRequested_ = s.fillLinesRequested;
-    actualService_ = s.actualService;
-    shadowService_ = s.shadowService;
-    stealShadowService_ = s.stealShadowService;
-    pipeOverlapCycles_ = s.pipeOverlapCycles;
-    mcastUnicastLinesEquiv_ = s.mcastUnicastLinesEquiv;
-    tasksSpawned_ = s.tasksSpawned;
-    tasksStolen_ = s.tasksStolen;
-    stealHops_ = s.stealHops;
-    plannedLane_ = s.plannedLane;
-    spatialGroups_ = s.spatialGroups;
-    spatialLaneBufUsed_ = s.spatialLaneBufUsed;
-    spatialBufPeak_ = s.spatialBufPeak;
-    spatialForwards_ = s.spatialForwards;
-    spatialSpills_ = s.spatialSpills;
-    spatialRemaps_ = s.spatialRemaps;
-    spatialGroupsAllocated_ = s.spatialGroupsAllocated;
+    static_cast<DispatcherState&>(*this) = s.state;
+    spatial_ = s.spatial;
 }
 
 } // namespace ts

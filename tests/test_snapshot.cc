@@ -4,9 +4,10 @@
  * DESIGN.md §7.  A Delta snapshotted at its pristine
  * post-construction point and restored before each run must produce
  * byte-identical statistics and functional results to a Delta built
- * from scratch — for every workload, under both the static baseline
- * and the full TaskStream config, and across repeated restores of
- * one snapshot.
+ * from scratch — for every workload, under the static baseline, the
+ * full TaskStream config, work stealing and spatial mapping (the
+ * presets carrying steal and spatial dispatcher state), and across
+ * repeated restores of one snapshot.
  *
  * Also covers the registry watermark (mark/rollback) that lets the
  * append-only TaskTypeRegistry rewind across forks, and the
@@ -16,12 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
 #include <tuple>
 
 #include "accel/delta.hh"
+#include "driver/sweep.hh"
 #include "sim/stats.hh"
 #include "task/task_types.hh"
 #include "workloads/workload.hh"
@@ -59,15 +62,8 @@ resultOf(Delta& delta, Wk wk)
     return r;
 }
 
-DeltaConfig
-configFor(bool staticConfig)
-{
-    return staticConfig ? DeltaConfig::staticBaseline()
-                        : DeltaConfig::delta();
-}
-
 class SnapshotForkDifferential
-    : public ::testing::TestWithParam<std::tuple<Wk, bool>>
+    : public ::testing::TestWithParam<std::tuple<Wk, std::string>>
 {
 };
 
@@ -76,16 +72,17 @@ class SnapshotForkDifferential
 TEST_P(SnapshotForkDifferential, ForkedRunsBitIdenticalToFresh)
 {
     const Wk wk = std::get<0>(GetParam());
-    const bool staticConfig = std::get<1>(GetParam());
+    const std::string& preset = std::get<1>(GetParam());
+    const DeltaConfig cfg = driver::sweepConfig(preset).cfg;
 
     RunResult fresh;
     {
-        Delta delta(configFor(staticConfig));
+        Delta delta(cfg);
         fresh = resultOf(delta, wk);
     }
     ASSERT_TRUE(fresh.correct);
 
-    Delta forked(configFor(staticConfig));
+    Delta forked(cfg);
     const auto snap = forked.snapshot();
     for (int rep = 0; rep < 2; ++rep) {
         forked.restore(*snap);
@@ -94,7 +91,7 @@ TEST_P(SnapshotForkDifferential, ForkedRunsBitIdenticalToFresh)
         EXPECT_EQ(r.cycles, fresh.cycles) << "rep " << rep;
         EXPECT_EQ(r.statsJson, fresh.statsJson)
             << "forked run " << rep << " diverged for " << wkName(wk)
-            << " (" << (staticConfig ? "static" : "delta")
+            << " (" << preset
             << "): some component state escaped the snapshot";
     }
 }
@@ -103,10 +100,12 @@ namespace
 {
 
 std::string
-snapName(const ::testing::TestParamInfo<std::tuple<Wk, bool>>& info)
+snapName(
+    const ::testing::TestParamInfo<std::tuple<Wk, std::string>>& info)
 {
-    return wkIdent(std::get<0>(info.param)) +
-           (std::get<1>(info.param) ? "_static" : "_delta");
+    std::string preset = std::get<1>(info.param);
+    std::replace(preset.begin(), preset.end(), '-', '_');
+    return wkIdent(std::get<0>(info.param)) + "_" + preset;
 }
 
 } // namespace
@@ -114,7 +113,8 @@ snapName(const ::testing::TestParamInfo<std::tuple<Wk, bool>>& info)
 INSTANTIATE_TEST_SUITE_P(
     AllWorkloads, SnapshotForkDifferential,
     ::testing::Combine(::testing::ValuesIn(allWorkloads()),
-                       ::testing::Bool()),
+                       ::testing::Values("static", "delta",
+                                         "work-steal", "spatial")),
     snapName);
 
 // ---------------------------------------------------------------------
