@@ -6,7 +6,7 @@ against the spatial-* floors.
 Usage: check_host_floors.py <bench_host.json> <perf-floors.txt>
        check_host_floors.py --steal <baseline.json> <steal.json> \\
                             <perf-floors.txt>
-       check_host_floors.py --spatial <perf-floors.txt> \\
+       check_host_floors.py --spatial <floor-key> <perf-floors.txt> \\
                             <static.json> <spatial.json> [...pairs]
 
 In --steal mode the two JSON files are per-run bench dumps written by
@@ -22,8 +22,10 @@ pairs of per-run bench dumps for pipeline-shaped workloads.  Each
 spatial run must be correct and must report
 delta.attrib.spatial.dramLinesSaved > 0 (an inert forwarder scores
 no speedup); the geomean static/spatial simulated-cycle speedup over
-all pairs is gated against the `spatial-stream-geomean` floor.
-Deterministic like --steal: no machine-noise slack.
+all pairs is gated against the named spatial-* floor
+(`spatial-stream-geomean` over the pipeline-shaped set,
+`spatial-msort-dyn` over the one msort-dyn pair).  Deterministic like
+--steal: no machine-noise slack.
 
 In the default mode:
 
@@ -130,22 +132,24 @@ def check_steal(baseline_path, steal_path, floors_path):
     sys.exit(1 if failed else 0)
 
 
-def check_spatial(floors_path, paths):
+def check_spatial(key, floors_path, paths):
     """Gate the spatial-vs-static geomean speedup and per-workload
-    DRAM-traffic savings against spatial-stream-geomean."""
+    DRAM-traffic savings against the spatial-* floor `key`."""
+    if not key.startswith("spatial-"):
+        sys.exit(f"--spatial needs a spatial-* floor key, got {key}")
     if not paths or len(paths) % 2 != 0:
         sys.exit("--spatial needs (static, spatial) file pairs")
 
-    floor = load_floors(floors_path).get("spatial-stream-geomean")
+    floor = load_floors(floors_path).get(key)
     if floor is None:
         print(
-            f"- `spatial-stream-geomean`: no floor configured in "
-            f"{floors_path}, skipped",
+            f"- `{key}`: no floor configured in {floors_path}, skipped",
             file=sys.stderr,
         )
         sys.exit(0)
 
-    print("### Spatial mapping (spatial vs static, simulated cycles)")
+    print(f"### Spatial mapping, `{key}` (spatial vs static, simulated "
+          f"cycles)")
     print()
     print(
         "| workload | static | spatial | speedup | DRAM lines saved "
@@ -185,7 +189,7 @@ def check_spatial(floors_path, paths):
             failed = True
             annotate(
                 "FLOOR VIOLATED",
-                f"spatial-stream-geomean: {wk} saved no DRAM lines "
+                f"{key}: {wk} saved no DRAM lines "
                 f"(an inert forwarder scores no speedup)",
             )
     print()
@@ -197,16 +201,12 @@ def check_spatial(floors_path, paths):
     )
     ok = geomean >= floor
     verdict = "ok" if ok else "**FLOOR VIOLATED**"
-    print(
-        f"- `spatial-stream-geomean`: {geomean:.3f}x vs floor "
-        f"{floor:.2f}x — {verdict}"
-    )
+    print(f"- `{key}`: {geomean:.3f}x vs floor {floor:.2f}x — {verdict}")
     if not ok:
         failed = True
         annotate(
             "FLOOR VIOLATED",
-            f"spatial-stream-geomean observed {geomean:.3f}x < floor "
-            f"{floor:.2f}x",
+            f"{key} observed {geomean:.3f}x < floor {floor:.2f}x",
         )
     sys.exit(1 if failed else 0)
 
@@ -214,8 +214,8 @@ def check_spatial(floors_path, paths):
 def main():
     if len(sys.argv) == 5 and sys.argv[1] == "--steal":
         check_steal(sys.argv[2], sys.argv[3], sys.argv[4])
-    if len(sys.argv) >= 3 and sys.argv[1] == "--spatial":
-        check_spatial(sys.argv[2], sys.argv[3:])
+    if len(sys.argv) >= 4 and sys.argv[1] == "--spatial":
+        check_spatial(sys.argv[2], sys.argv[3], sys.argv[4:])
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     with open(sys.argv[1]) as f:

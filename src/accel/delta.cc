@@ -367,9 +367,9 @@ Delta::run(const TaskGraph& graph)
                   static_cast<double>(plan.forwardableEdges));
     }
 
-    // -- Critical-path bound from the measured task spans --
-    const CritPathResult cp =
-        graph.criticalPath(dispatcher_->taskSpans());
+    // -- Critical-path bound from the measured task spans, over the
+    // live graph (spawned tasks and transferred successors included) --
+    const CritPathResult cp = dispatcher_->criticalPath();
     const Tick bound = cp.boundCycles(cfg_.lanes);
     stats.set("delta.critpath.cycles",
               static_cast<double>(cp.criticalPathCycles));

@@ -246,7 +246,11 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     // vocabulary (policy=spatial, spatialBuf, spatialRemap).
     // v4: the always-zero dispatcher.groupMembersDegraded stat was
     // dropped, so v3 dumps no longer replay byte-identically.
-    os << "v4 wk=" << wkName(point.workload)
+    // v5: spatial dispatch stopped blocking every lane behind the
+    // head task's busy lane (different spatial cycles), and
+    // delta.critpath.* covers spawned tasks (different msort-dyn
+    // dumps), so v4 dumps would replay stale results.
+    os << "v5 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
        << canonicalConfig(resolvePointConfig(spec, point));

@@ -27,6 +27,10 @@ constexpr Tick kPipelineHoldCycles = 65536;
  *  waits this long so near-simultaneous siblings can coalesce into
  *  one co-dispatched region. */
 constexpr Tick kPipelineGraceCycles = 768;
+/** Dispatch decisions per cycle. */
+constexpr std::uint32_t kDispatchPerCycle = 4;
+/** Dispatch pauses while this many packets wait to be sent. */
+constexpr std::size_t kSendQueueLimit = 4096;
 
 double
 maxOf(const std::vector<double>& v)
@@ -80,6 +84,10 @@ Dispatcher::Dispatcher(Noc& noc, const MemImage& img,
     if (spatial_.has_value() != (cfg_.policy == SchedPolicy::Spatial))
         fatal("dispatcher: spatial policy state must be given exactly "
               "when the policy is spatial");
+    if (spatial_ && cfg_.bulkSynchronous)
+        fatal("dispatcher: spatial dispatch is not bulk-synchronous");
+    if (spatial_)
+        laneReady_.resize(cfg_.laneNodes.size());
     laneQueued_.assign(cfg_.laneNodes.size(), 0);
     laneWork_.assign(cfg_.laneNodes.size(), 0.0);
     laneDispatched_.assign(cfg_.laneNodes.size(), 0);
@@ -138,8 +146,28 @@ Dispatcher::loadGraph(const TaskGraph& graph)
 
     for (std::size_t i = 0; i < states_.size(); ++i) {
         if (states_[i].remDeps == 0)
-            readyQ_.push_back(static_cast<TaskId>(i));
+            pushReady(static_cast<TaskId>(i));
     }
+}
+
+void
+Dispatcher::pushReady(TaskId id)
+{
+    if (spatial_) {
+        laneReady_[spatial_->plannedLane(id)].push_back(
+            PinnedReady{readySeq_++, id});
+    } else {
+        readyQ_.push_back(id);
+    }
+}
+
+std::size_t
+Dispatcher::readyQueueDepth() const
+{
+    std::size_t n = readyQ_.size();
+    for (const auto& q : laneReady_)
+        n += q.size();
+    return n;
 }
 
 void
@@ -249,7 +277,7 @@ Dispatcher::onComplete(const CompleteMsg& msg, Tick now)
         TS_ASSERT(cs.remDeps > 0);
         if (--cs.remDeps == 0) {
             cs.readyAt = now;
-            readyQ_.push_back(es.e.consumer);
+            pushReady(es.e.consumer);
         }
     }
 }
@@ -374,7 +402,7 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         }
     }
 
-    checkLiveAcyclic();
+    liveTopoOrder();
 
     // Dependence levels of the new tasks (bulk-sync bookkeeping).
     // Local producers may appear in any order, so iterate to a
@@ -401,7 +429,7 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
             levelRemaining_.resize(ns.level + 1, 0);
         ++levelRemaining_[ns.level];
         if (ns.remDeps == 0)
-            readyQ_.push_back(static_cast<TaskId>(base + k));
+            pushReady(static_cast<TaskId>(base + k));
     }
 
     if (trace::on()) {
@@ -454,8 +482,8 @@ Dispatcher::onStealNotify(const StealNotifyMsg& msg)
     }
 }
 
-void
-Dispatcher::checkLiveAcyclic() const
+std::vector<TaskId>
+Dispatcher::liveTopoOrder() const
 {
     // Kahn over the whole dependence state; completed tasks cannot
     // sit on a cycle (their ancestors completed first), so one global
@@ -469,20 +497,22 @@ Dispatcher::checkLiveAcyclic() const
         if (indeg[i] == 0)
             frontier.push_back(static_cast<TaskId>(i));
     }
-    std::size_t seen = 0;
+    std::vector<TaskId> order;
+    order.reserve(states_.size());
     while (!frontier.empty()) {
         const TaskId at = frontier.front();
         frontier.pop_front();
-        ++seen;
+        order.push_back(at);
         for (const std::size_t ei : states_[at].outEdges) {
             const TaskId next = edges_[ei].e.consumer;
             if (--indeg[next] == 0)
                 frontier.push_back(next);
         }
     }
-    TS_ASSERT(seen == states_.size(),
+    TS_ASSERT(order.size() == states_.size(),
               "dynamic spawn closed a dependence cycle (",
-              states_.size() - seen, " tasks on cycles)");
+              states_.size() - order.size(), " tasks on cycles)");
+    return order;
 }
 
 std::optional<std::vector<TaskId>>
@@ -625,13 +655,8 @@ Dispatcher::pickLane(TaskId id,
         }
         return best;
       }
-      case SchedPolicy::Spatial: {
-        // Hard pinning: forwarding decisions already named this lane
-        // as the consumer's landing site, so the task waits for a
-        // queue slot rather than migrate.
-        const std::size_t l = spatial_->plannedLane(id);
-        return available(l) ? static_cast<std::int32_t>(l) : -1;
-      }
+      case SchedPolicy::Spatial:
+        break; // pinned: dispatchPinned places these tasks
     }
     return -1;
 }
@@ -729,14 +754,10 @@ Dispatcher::tryDispatchHead(Tick now)
 {
     const TaskId root = readyQ_.front();
     TaskState& rs = states_[root];
-    if (rs.dispatched || rs.completed) {
-        readyQ_.pop_front();
-        return true;
-    }
-    // A dynamic edge may have targeted this task after it became
-    // ready; drop the stale entry — it re-enters the queue when the
-    // new dependence resolves.
-    if (rs.remDeps > 0) {
+    // Stale entry: already issued, or a dynamic edge targeted this
+    // task after it became ready (it re-enters the queue when the new
+    // dependence resolves).
+    if (rs.dispatched || rs.completed || rs.remDeps > 0) {
         readyQ_.pop_front();
         return true;
     }
@@ -749,9 +770,7 @@ Dispatcher::tryDispatchHead(Tick now)
     }
 
     // 1. Pipeline closure (TaskStream) or the single task (baseline).
-    // Spatial dispatch is always solo: forwarding happens through
-    // landing zones, not co-dispatched pipe batches.
-    std::vector<TaskId> closure = cfg_.enablePipeline && !spatial_
+    std::vector<TaskId> closure = cfg_.enablePipeline
                                       ? pipelineClosure(root)
                                       : std::vector<TaskId>{root};
 
@@ -788,7 +807,7 @@ Dispatcher::tryDispatchHead(Tick now)
     const bool withinHold =
         (allLanesBusy && waited < kPipelineHoldCycles) ||
         waited < kPipelineGraceCycles;
-    if (cfg_.enablePipeline && !spatial_ && withinHold) {
+    if (cfg_.enablePipeline && withinHold) {
         for (const TaskId member : closure) {
             for (std::size_t ei : states_[member].outEdges) {
                 const EdgeState& es = edges_[ei];
@@ -813,7 +832,6 @@ Dispatcher::tryDispatchHead(Tick now)
     // can never be the producer of a kept one.
     std::vector<std::uint32_t> extraLoad(cfg_.laneNodes.size(), 0);
     std::vector<double> extraWork(cfg_.laneNodes.size(), 0.0);
-    std::vector<TaskId> placed;
     for (std::size_t i = 0; i < closure.size(); ++i) {
         const TaskId id = closure[i];
         const std::int32_t lane = pickLane(id, extraLoad, extraWork);
@@ -826,16 +844,58 @@ Dispatcher::tryDispatchHead(Tick now)
         states_[id].lane = lane;
         ++extraLoad[lane];
         extraWork[lane] += states_[id].workEst;
-        placed.push_back(id);
     }
 
-    // (Shared-read groups no longer require co-dispatch: fills go to
-    // every lane, so members are rewritten whenever they dispatch —
-    // see step 4.)
+    readyQ_.pop_front();
+    commitBatch(closure, rs.readyAt, now);
+    return true;
+}
 
-    // 4. Build messages with pipeline/shared rewrites.
+void
+Dispatcher::dispatchPinned(Tick now)
+{
+    // A pinned task waits for its own lane's queue slot without
+    // blocking the other lanes.  Each lane's FIFO is in ready order,
+    // so the oldest dispatchable task is the oldest head among the
+    // lanes with a free slot: an O(lanes) check per dispatch that
+    // builds nothing for a full lane.
+    for (std::uint32_t n = 0;
+         n < kDispatchPerCycle && sendQ_.size() < kSendQueueLimit; ++n) {
+        std::int32_t lane = -1;
+        for (std::size_t l = 0; l < laneReady_.size(); ++l) {
+            if (laneQueued_[l] >= cfg_.laneQueueCap)
+                continue;
+            std::deque<PinnedReady>& q = laneReady_[l];
+            // Drop stale entries (see tryDispatchHead).
+            while (!q.empty()) {
+                const TaskState& ts = states_[q.front().uid];
+                if (!ts.dispatched && !ts.completed && ts.remDeps == 0)
+                    break;
+                q.pop_front();
+            }
+            if (!q.empty() &&
+                (lane < 0 ||
+                 q.front().seq < laneReady_[lane].front().seq)) {
+                lane = static_cast<std::int32_t>(l);
+            }
+        }
+        if (lane < 0)
+            return;
+        const TaskId id = laneReady_[lane].front().uid;
+        laneReady_[lane].pop_front();
+        states_[id].lane = lane;
+        commitBatch({id}, states_[id].readyAt, now);
+    }
+}
+
+void
+Dispatcher::commitBatch(const std::vector<TaskId>& batch, Tick readyAt,
+                        Tick now)
+{
+    // Shared-read groups do not require co-dispatch: fills go to
+    // every lane, so members are rewritten whenever they dispatch.
     std::map<TaskId, DispatchMsg> msgs;
-    for (TaskId id : placed) {
+    for (TaskId id : batch) {
         DispatchMsg m;
         m.uid = id;
         m.type = states_[id].inst.type;
@@ -847,7 +907,7 @@ Dispatcher::tryDispatchHead(Tick now)
         // co-dispatch batch whose intra-lane uid order must survive.
         // Spatial tasks never migrate — the plan pinned their lane.
         m.stealable = cfg_.steal != StealPolicy::None &&
-                      placed.size() == 1 && !spatial_;
+                      batch.size() == 1 && !spatial_;
         msgs.emplace(id, std::move(m));
     }
 
@@ -860,9 +920,7 @@ Dispatcher::tryDispatchHead(Tick now)
     // stream, so they must sit on different lanes; a duplicate-lane
     // consumer degrades to the memory fallback.
     std::map<std::uint64_t, std::uint64_t> pipeLanesUsed;
-    for (TaskId id : closure) {
-        if (!inBatch(id))
-            continue;
+    for (TaskId id : batch) {
         for (std::size_t ei : states_[id].outEdges) {
             EdgeState& es = edges_[ei];
             if (es.e.kind != DepKind::Pipeline || es.resolved)
@@ -915,7 +973,7 @@ Dispatcher::tryDispatchHead(Tick now)
     // Shared-read rewrites: fire each referenced group once, then
     // point the member's input at the scratchpad landing.
     if (cfg_.enableMulticast) {
-        for (TaskId id : placed) {
+        for (TaskId id : batch) {
             const TaskInstance& inst = states_[id].inst;
             DispatchMsg& mm = msgs.at(id);
             for (std::size_t port = 0; port < inst.inputs.size();
@@ -942,11 +1000,11 @@ Dispatcher::tryDispatchHead(Tick now)
         }
     }
 
-    // 4.5 Spatial rewrites: gate the consumer side on forwarded
+    // Spatial rewrites: gate the consumer side on forwarded
     // streams already decided by its producers' dispatches, then
     // make this batch's own producer-side forwarding decisions.
     if (spatial_) {
-        for (TaskId id : placed) {
+        for (TaskId id : batch) {
             DispatchMsg& m = msgs.at(id);
             spatial_->rewriteConsumer(id, m);
             spatial_->resolveProducer(
@@ -956,16 +1014,13 @@ Dispatcher::tryDispatchHead(Tick now)
         }
     }
 
-    // 5. Commit: mark dispatched and queue the dispatch packets in
-    // uid order (producers before consumers).
-    statSample("dispatcher.readyWait",
-               static_cast<double>(now - rs.readyAt));
-    readyQ_.pop_front();
-    for (TaskId id : placed) {
+    // Commit: mark dispatched and queue the dispatch packets in uid
+    // order (producers before consumers).
+    statSample("dispatcher.readyWait", static_cast<double>(now - readyAt));
+    for (TaskId id : batch) {
         auto node = msgs.extract(id);
         enqueueDispatch(id, std::move(node.mapped()));
     }
-    return true;
 }
 
 void
@@ -983,17 +1038,23 @@ Dispatcher::tick(Tick now)
     }
 
     // Dispatch ready tasks (bounded per cycle; keep the send queue
-    // from growing without bound).
-    std::uint32_t dispatches = 4;
-    while (dispatches > 0 && !readyQ_.empty() &&
-           sendQ_.size() < 4096) {
-        if (!tryDispatchHead(now))
-            break;
-        --dispatches;
+    // from growing without bound).  The online policies and the
+    // static baseline dispatch from the head of one ready queue.
+    if (spatial_) {
+        dispatchPinned(now);
+    } else {
+        std::uint32_t dispatches = kDispatchPerCycle;
+        while (dispatches > 0 && !readyQ_.empty() &&
+               sendQ_.size() < kSendQueueLimit) {
+            if (!tryDispatchHead(now))
+                break;
+            --dispatches;
+        }
     }
 
-    if (trace::on() && readyQ_.size() != tracedReadyDepth_) {
-        tracedReadyDepth_ = readyQ_.size();
+    const std::size_t readyDepth = readyQueueDepth();
+    if (trace::on() && readyDepth != tracedReadyDepth_) {
+        tracedReadyDepth_ = readyDepth;
         trace::active()->counter(
             "dispatcher.readyQ", "depth",
             static_cast<double>(tracedReadyDepth_));
@@ -1004,17 +1065,17 @@ Dispatcher::tick(Tick now)
     // TaskStart/TaskComplete (the eject channel wakes us).  A
     // non-empty ready queue must keep ticking: held-back tasks
     // (pipeline grace, bulk-sync barriers) re-evaluate per cycle.
-    if (readyQ_.empty() && sendQ_.empty() &&
+    if (readyDepth == 0 && sendQ_.empty() &&
         noc_.eject(cfg_.selfNode).empty()) {
         sleepOnWake();
     }
 }
 
-std::vector<TaskSpan>
-Dispatcher::taskSpans() const
+CritPathResult
+Dispatcher::criticalPath() const
 {
-    std::vector<TaskSpan> out;
-    out.reserve(completed_);
+    std::vector<TaskSpan> spans;
+    spans.reserve(completed_);
     for (std::size_t i = 0; i < states_.size(); ++i) {
         const TaskState& ts = states_[i];
         if (!ts.completed)
@@ -1024,9 +1085,13 @@ Dispatcher::taskSpans() const
         s.start = ts.started ? ts.startAt : ts.endAt;
         s.end = ts.endAt;
         s.lane = ts.lane;
-        out.push_back(s);
+        spans.push_back(s);
     }
-    return out;
+    std::vector<DepEdge> edges;
+    edges.reserve(edges_.size());
+    for (const EdgeState& es : edges_)
+        edges.push_back(es.e);
+    return criticalPathOver(edges, liveTopoOrder(), spans);
 }
 
 bool

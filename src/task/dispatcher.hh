@@ -120,6 +120,16 @@ struct DispatcherState
     std::vector<EdgeState> edges_;
     std::vector<GroupState> groups_;
     std::deque<TaskId> readyQ_;
+    /** Spatial only: ready tasks in their planned lane's FIFO, in
+     *  ready order (readyQ_ stays empty).  seq numbers every entry,
+     *  so the oldest head across lanes is the oldest ready task. */
+    struct PinnedReady
+    {
+        std::uint64_t seq = 0;
+        TaskId uid = 0;
+    };
+    std::vector<std::deque<PinnedReady>> laneReady_;
+    std::uint64_t readySeq_ = 0;
     std::deque<Packet> sendQ_;
 
     std::vector<std::uint32_t> laneQueued_;
@@ -159,7 +169,8 @@ struct DispatcherState
  * The dispatcher hardware unit (one NoC node): the mechanism core —
  * ready set, closure and shared-group firing, message handling — with
  * the lane choice in pickLane's switch.  Only SchedPolicy::Spatial
- * carries policy state, held in spatial_.
+ * carries policy state, held in spatial_; its pinned tasks queue per
+ * planned lane (dispatchPinned) instead of in the one ready queue.
  */
 class Dispatcher : public Ticked, private DispatcherState
 {
@@ -200,13 +211,21 @@ class Dispatcher : public Ticked, private DispatcherState
     std::uint64_t pipesDegraded() const { return pipesDegraded_; }
     std::uint64_t groupsFired() const { return groupsFired_; }
 
-    /** Measured execution spans of all completed tasks (for
-     *  TaskGraph::criticalPath). */
-    std::vector<TaskSpan> taskSpans() const;
+    /** Critical path over the live graph — every host-loaded and
+     *  spawned task, weighted by its measured span, and every edge as
+     *  it stands now (transferred successors hang off their heir). */
+    CritPathResult criticalPath() const;
+
+    /** Task @p id as the dispatcher holds it, host-loaded or
+     *  spawned. */
+    const TaskInstance& task(TaskId id) const
+    {
+        return states_.at(id).inst;
+    }
 
     /** Tasks currently ready but not yet issued to a lane (timeline
      *  probe). */
-    std::size_t readyQueueDepth() const { return readyQ_.size(); }
+    std::size_t readyQueueDepth() const;
 
     std::unique_ptr<ComponentSnap> saveState() const override;
     void restoreState(const ComponentSnap& snap) override;
@@ -221,9 +240,20 @@ class Dispatcher : public Ticked, private DispatcherState
     /** Transfer queue/work bookkeeping of a stolen, not-yet-complete
      *  task from its current lane to @p toLane. */
     void applyStealMove(TaskId uid, std::uint32_t toLane);
-    /** Panic if the not-yet-completed subgraph has a cycle. */
-    void checkLiveAcyclic() const;
+    /** Topological order of every task over the current edges;
+     *  panics if a spawn closed a dependence cycle. */
+    std::vector<TaskId> liveTopoOrder() const;
+    /** Queue a task whose dependences are all satisfied. */
+    void pushReady(TaskId id);
     bool tryDispatchHead(Tick now);
+    /** Spatial: dispatch the oldest ready tasks whose planned lane has
+     *  a free queue slot. */
+    void dispatchPinned(Tick now);
+    /** Build, rewrite and queue the dispatch messages of @p batch
+     *  (lanes already chosen, uid order); @p readyAt is when the
+     *  batch's root became ready. */
+    void commitBatch(const std::vector<TaskId>& batch, Tick readyAt,
+                     Tick now);
     std::vector<TaskId> pipelineClosure(TaskId root) const;
     std::optional<std::vector<TaskId>>
     tryJoinClosure(TaskId c, std::vector<TaskId> set,

@@ -216,28 +216,41 @@ TaskGraph::validate() const
 CritPathResult
 TaskGraph::criticalPath(const std::vector<TaskSpan>& spans) const
 {
-    CritPathResult r;
     if (tasks_.empty())
+        return CritPathResult{};
+    return criticalPathOver(edges_, topoOrder(), spans);
+}
+
+CritPathResult
+criticalPathOver(const std::vector<DepEdge>& edges,
+                 const std::vector<TaskId>& topo,
+                 const std::vector<TaskSpan>& spans)
+{
+    CritPathResult r;
+    const std::size_t n = topo.size();
+    if (n == 0)
         return r;
 
     // Service time per task (zero when unmeasured).
-    std::vector<Tick> service(tasks_.size(), 0);
+    std::vector<Tick> service(n, 0);
     for (const TaskSpan& s : spans) {
-        if (s.uid < tasks_.size())
+        if (s.uid < n)
             service[s.uid] = s.service();
     }
     for (const Tick s : service)
         r.serialCycles += s;
 
     // Longest path ending at each task, finalized in topological
-    // order (edges may point in either uid direction now).
-    std::vector<std::vector<TaskId>> preds(tasks_.size());
-    for (const DepEdge& e : edges_)
+    // order (edges may point in either uid direction now).  Ties keep
+    // the first producer in edge order, so the path does not depend
+    // on which topological order is walked.
+    std::vector<std::vector<TaskId>> preds(n);
+    for (const DepEdge& e : edges)
         preds[e.consumer].push_back(e.producer);
 
-    std::vector<Tick> dist(tasks_.size(), 0);
-    std::vector<std::int64_t> pred(tasks_.size(), -1);
-    for (const TaskId i : topoOrder()) {
+    std::vector<Tick> dist(n, 0);
+    std::vector<std::int64_t> pred(n, -1);
+    for (const TaskId i : topo) {
         dist[i] = service[i];
         for (const TaskId p : preds[i]) {
             const Tick through = dist[p] + service[i];
@@ -249,7 +262,7 @@ TaskGraph::criticalPath(const std::vector<TaskSpan>& spans) const
     }
 
     TaskId tail = 0;
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         if (dist[i] > dist[tail])
             tail = static_cast<TaskId>(i);
     }

@@ -214,6 +214,16 @@ struct CritPathResult
     }
 };
 
+/**
+ * Dependence-weighted longest path over @p edges, weighting each task
+ * by its measured service time in @p spans (tasks missing a span
+ * weigh zero).  @p topo lists every task in a topological order of
+ * @p edges; the result does not depend on which order.
+ */
+CritPathResult criticalPathOver(const std::vector<DepEdge>& edges,
+                                const std::vector<TaskId>& topo,
+                                const std::vector<TaskSpan>& spans);
+
 /** Host-side container for a workload's tasks. */
 class TaskGraph
 {

@@ -271,3 +271,39 @@ TEST(DispatcherDynamic, MsortDynUnfoldsTreeFromOneTask)
     EXPECT_EQ(stats.get("dispatcher.tasksCompleted"),
               1.0 + stats.get("delta.tasksSpawned"));
 }
+
+TEST(DispatcherDynamic, MsortDynCriticalPathFollowsSpawnedMerges)
+{
+    // The host submits one task; the critical path must be measured
+    // over the tree the run actually unfolded — spawned sorts and
+    // merges, with successors transferred to each subtree's merge —
+    // not over the one-task host graph.
+    SuiteParams sp;
+    sp.scale = 0.25;
+    auto wl = makeWorkload(Wk::MsortDyn, sp);
+
+    Delta delta(DeltaConfig::delta(4));
+    TaskGraph g;
+    wl->build(delta, g);
+    const StatSet stats = delta.run(g);
+    ASSERT_TRUE(wl->check(delta.image()));
+
+    const CritPathResult cp = delta.dispatcher().criticalPath();
+    EXPECT_GT(cp.path.size(), 1u);
+    EXPECT_EQ(stats.get("delta.critpath.pathTasks"),
+              static_cast<double>(cp.path.size()));
+    EXPECT_EQ(stats.get("delta.critpath.cycles"),
+              static_cast<double>(cp.criticalPathCycles));
+
+    // Spawned tasks take uids after the host-submitted one; the path
+    // must run through at least one spawned merge.
+    bool spawnedMerge = false;
+    for (const TaskId uid : cp.path) {
+        const TaskInstance& inst = delta.dispatcher().task(uid);
+        if (uid >= g.numTasks() &&
+            delta.registry().type(inst.type).name == "merge2") {
+            spawnedMerge = true;
+        }
+    }
+    EXPECT_TRUE(spawnedMerge);
+}

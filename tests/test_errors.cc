@@ -144,6 +144,15 @@ TEST(Errors, MeshOverflowRejectedAtConstruction)
     EXPECT_THROW(Delta(DeltaConfig::delta(63)), FatalError);
 }
 
+TEST(Errors, BulkSynchronousSpatialRejectedAtConstruction)
+{
+    // Pinned dispatch has no level barrier; the combination would
+    // silently ignore bulkSynchronous.
+    DeltaConfig cfg = DeltaConfig::spatial(4);
+    cfg.bulkSynchronous = true;
+    EXPECT_THROW(Delta{cfg}, FatalError);
+}
+
 TEST(Errors, GraphValidationRunsAtLoad)
 {
     Delta delta(DeltaConfig::delta(2));

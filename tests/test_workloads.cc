@@ -2,11 +2,15 @@
  * @file
  * Workload-suite integration tests: every workload must produce
  * golden-correct results on TaskStream/Delta, on the static-parallel
- * baseline, and on the intermediate policies, at several lane counts.
+ * baseline, under the spatial mapper, and on the intermediate
+ * policies, at several lane counts.
  */
+
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "driver/sweep.hh"
 #include "workloads/workload.hh"
 
 namespace ts
@@ -14,11 +18,37 @@ namespace ts
 namespace
 {
 
+/** Sweep preset a case runs; values match the old delta flag
+ *  (static 0, delta 1), so existing case names are unchanged. */
+enum class Preset : std::int32_t
+{
+    Static,
+    Delta,
+    Spatial,
+};
+
+const char*
+presetName(Preset p)
+{
+    switch (p) {
+      case Preset::Static:
+        return "static";
+      case Preset::Delta:
+        return "delta";
+      case Preset::Spatial:
+        return "spatial";
+    }
+    return "?";
+}
+
+/** Two 4-byte fields and no padding: gtest prints the param beside
+ *  every test name as a raw byte dump, which is then deterministic. */
 struct Case
 {
     Wk wk;
-    bool delta; ///< TaskStream config vs static baseline
+    Preset preset;
 };
+static_assert(sizeof(Case) == 2 * sizeof(std::int32_t));
 
 class WorkloadCorrectness
     : public ::testing::TestWithParam<Case>
@@ -31,9 +61,7 @@ TEST_P(WorkloadCorrectness, GoldenMatch)
     sp.scale = 0.5;
     auto wl = makeWorkload(c.wk, sp);
 
-    DeltaConfig cfg = c.delta ? DeltaConfig::delta(8)
-                              : DeltaConfig::staticBaseline(8);
-    Delta delta(cfg);
+    Delta delta(driver::sweepConfig(presetName(c.preset)).cfg);
     TaskGraph graph;
     wl->build(delta, graph);
     const StatSet stats = delta.run(graph);
@@ -50,8 +78,7 @@ TEST_P(WorkloadCorrectness, GoldenMatch)
 std::string
 caseName(const ::testing::TestParamInfo<Case>& info)
 {
-    return wkIdent(info.param.wk) +
-           (info.param.delta ? "_delta" : "_static");
+    return wkIdent(info.param.wk) + "_" + presetName(info.param.preset);
 }
 
 std::vector<Case>
@@ -59,8 +86,9 @@ allCases()
 {
     std::vector<Case> cases;
     for (const Wk w : allWorkloads()) {
-        cases.push_back({w, true});
-        cases.push_back({w, false});
+        for (const Preset p :
+             {Preset::Delta, Preset::Static, Preset::Spatial})
+            cases.push_back({w, p});
     }
     return cases;
 }
