@@ -14,7 +14,6 @@
 #ifndef TS_BENCH_BENCH_UTIL_HH
 #define TS_BENCH_BENCH_UTIL_HH
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -40,18 +39,6 @@ inline void
 init(int* argc, char** argv)
 {
     options() = driver::parseCommandLine(*argc, argv);
-}
-
-/**
- * Workloads this bench process runs (--workloads, "all" or unset =
- * whole suite; unknown names fail fast with the
- * valid names listed).  Both the registration and table-printing
- * loops must use this same list.
- */
-inline const std::vector<Wk>&
-suiteWorkloads()
-{
-    return options().workloads;
 }
 
 /** Suite scaling knobs (--scale problem-size multiplier, --seed) —
@@ -81,18 +68,6 @@ inline void
 rule(int width = 72)
 {
     std::puts(std::string(static_cast<std::size_t>(width), '-').c_str());
-}
-
-/** Geometric mean of a vector of ratios. */
-inline double
-geomean(const std::vector<double>& v)
-{
-    if (v.empty())
-        return 0.0;
-    double logSum = 0.0;
-    for (const double x : v)
-        logSum += std::log(x);
-    return std::exp(logSum / static_cast<double>(v.size()));
 }
 
 } // namespace ts::bench

@@ -62,7 +62,7 @@ measure(Wk w, const Series& s)
     r.meanBusy = res.stats.get("delta.busyMean");
     r.maxBusy = res.stats.get("delta.busyMax");
     r.imbalance = res.stats.get("delta.imbalance");
-    r.stolen = res.stats.getOr("delta.attrib.steal.tasksStolen", 0.0);
+    r.stolen = res.stats.get("dispatcher.attrib.steal.tasksStolen");
     double mn = r.maxBusy;
     for (unsigned l = 0; l < 8; ++l) {
         mn = std::min(mn, res.stats.get("lane" + std::to_string(l) +

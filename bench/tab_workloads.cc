@@ -5,10 +5,9 @@
  * (mean and coefficient of variation), computed from the built task
  * graphs without simulating.
  *
- * A thin wrapper over the driver layer: each workload's graph is
- * built and characterized on the engine's host thread pool
- * (-j N, default hardware concurrency); rows print in canonical
- * order regardless of which thread finished first.
+ * Each workload's graph is built and characterized in turn; the
+ * columns (edge kinds, work spread) come from the graph itself, not
+ * from any run's stats dump.
  */
 
 #include <cmath>
@@ -16,7 +15,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "driver/sweep.hh"
 
 namespace
 {
@@ -24,34 +22,18 @@ namespace
 using namespace ts;
 using namespace ts::bench;
 
-struct Row
-{
-    std::size_t tasks = 0;
-    std::size_t barriers = 0;
-    std::size_t pipelines = 0;
-    std::size_t groups = 0;
-    double meanWork = 0;
-    double cvWork = 0;
-};
-
-Row
-characterize(Wk w, const SuiteParams& sp)
+/** Build @p w's graph and print its characterization row. */
+void
+printRow(Wk w, const SuiteParams& sp)
 {
     auto wl = makeWorkload(w, sp);
     Delta delta(DeltaConfig::delta(8));
     TaskGraph g;
     wl->build(delta, g);
 
-    Row r;
-    r.tasks = g.numTasks();
-    for (const DepEdge& e : g.edges()) {
-        if (e.kind == DepKind::Barrier)
-            ++r.barriers;
-        else
-            ++r.pipelines;
-    }
-    r.groups = g.groups().size();
-
+    std::size_t barriers = 0;
+    for (const DepEdge& e : g.edges())
+        barriers += e.kind == DepKind::Barrier ? 1 : 0;
     double sum = 0, sum2 = 0;
     for (const TaskInstance& t : g.tasks()) {
         const double wk =
@@ -59,13 +41,13 @@ characterize(Wk w, const SuiteParams& sp)
         sum += wk;
         sum2 += wk * wk;
     }
-    r.meanWork = sum / static_cast<double>(r.tasks);
-    const double var =
-        sum2 / static_cast<double>(r.tasks) - r.meanWork * r.meanWork;
-    r.cvWork = r.meanWork > 0
-                   ? std::sqrt(std::max(0.0, var)) / r.meanWork
-                   : 0;
-    return r;
+    const auto n = static_cast<double>(g.numTasks());
+    const double mean = sum / n;
+    const double var = sum2 / n - mean * mean;
+    std::printf("%-10s %7zu %9zu %9zu %7zu %11.0f %7.2f\n", wkName(w),
+                g.numTasks(), barriers, g.edges().size() - barriers,
+                g.groups().size(), mean,
+                mean > 0 ? std::sqrt(std::max(0.0, var)) / mean : 0.0);
 }
 
 } // namespace
@@ -76,17 +58,8 @@ main(int argc, char** argv)
     try {
         const driver::RunOptions opt =
             driver::parseCommandLine(argc, argv, /*strict=*/true);
-        bench::options() = opt;
 
-        const std::vector<Wk>& workloads = opt.workloads;
         const SuiteParams sp = opt.suiteParams();
-        std::vector<Row> rows(workloads.size());
-        driver::parallelFor(workloads.size(), opt.jobs,
-                            [&](std::size_t i) {
-                                rows[i] =
-                                    characterize(workloads[i], sp);
-                            });
-
         std::puts("");
         std::puts("Tab-2  Workload characterization (default scale)");
         rule(78);
@@ -94,12 +67,8 @@ main(int argc, char** argv)
                     "tasks", "barriers", "pipelines", "groups",
                     "mean work", "CV");
         rule(78);
-        for (std::size_t i = 0; i < workloads.size(); ++i) {
-            const Row& r = rows[i];
-            std::printf("%-10s %7zu %9zu %9zu %7zu %11.0f %7.2f\n",
-                        wkName(workloads[i]), r.tasks, r.barriers,
-                        r.pipelines, r.groups, r.meanWork, r.cvWork);
-        }
+        for (const Wk w : opt.workloads)
+            printRow(w, sp);
         rule(78);
         std::puts("CV = per-task work variation; the workloads with "
                   "high CV are the ones where work-aware balancing "

@@ -95,7 +95,7 @@ def check_steal(baseline_path, steal_path, floors_path):
         sys.exit(0)
 
     stats = steal.get("stats", {})
-    stolen = stats.get("delta.attrib.steal.tasksStolen", 0)
+    stolen = stats.get("dispatcher.attrib.steal.tasksStolen", 0)
     requests = stats.get("delta.attrib.steal.requests", 0)
     grants = stats.get("delta.attrib.steal.grants", 0)
     speedup = (

@@ -1,4 +1,4 @@
-#include "accel/energy_model.hh"
+#include "analysis/energy_model.hh"
 
 namespace ts
 {

@@ -8,8 +8,8 @@
  * per-event cost), and pipelining removes memory round trips.
  */
 
-#ifndef TS_ACCEL_ENERGY_MODEL_HH
-#define TS_ACCEL_ENERGY_MODEL_HH
+#ifndef TS_ANALYSIS_ENERGY_MODEL_HH
+#define TS_ANALYSIS_ENERGY_MODEL_HH
 
 #include <string>
 #include <vector>
@@ -46,4 +46,4 @@ EnergyReport computeEnergy(const StatSet& stats, std::uint32_t lanes);
 
 } // namespace ts
 
-#endif // TS_ACCEL_ENERGY_MODEL_HH
+#endif // TS_ANALYSIS_ENERGY_MODEL_HH

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <sstream>
+#include <tuple>
 
+#include "analysis/energy_model.hh"
 #include "sim/logging.hh"
 
 namespace ts
@@ -90,18 +93,24 @@ statsFromJson(const Json& doc)
     return out;
 }
 
-RunStats
-loadStats(const std::string& path)
+Json
+loadJson(const std::string& path)
 {
     std::ifstream in(path);
     if (!in)
-        fatal("cannot open stats file '", path, "'");
+        fatal("cannot open '", path, "'");
     std::ostringstream buf;
     buf << in.rdbuf();
     Json doc;
     if (!parseJson(buf.str(), doc))
-        fatal("malformed JSON in stats file '", path, "'");
-    return statsFromJson(doc);
+        fatal("malformed JSON in '", path, "'");
+    return doc;
+}
+
+RunStats
+loadStats(const std::string& path)
+{
+    return statsFromJson(loadJson(path));
 }
 
 std::vector<TaskTypeRow>
@@ -184,7 +193,7 @@ printComparison(std::ostream& os,
         "delta.critpath.boundCycles",
         "delta.attrib.pipeline.overlapCycles",
         "delta.attrib.multicast.dramLinesSaved",
-        "delta.attrib.steal.tasksStolen",
+        "dispatcher.attrib.steal.tasksStolen",
         "delta.attrib.spatial.dramLinesSaved",
         "delta.attrib.spatial.forwardWords",
         "delta.spatial.forwards",
@@ -276,10 +285,13 @@ printAttribution(std::ostream& os, const RunStats& s)
 {
     if (!s.has("delta.attrib.loadbalance.imbalanceCyclesAvoided"))
         return;
+    // Balance attribution is signed: a negative value is imbalance
+    // the policy cost relative to its shadow assignment.
+    const double avoided =
+        s.getOr("delta.attrib.loadbalance.imbalanceCyclesAvoided");
     os << "Mechanism attribution:\n";
-    os << "  loadbalance  imbalance avoided  "
-       << fmt(s.getOr(
-              "delta.attrib.loadbalance.imbalanceCyclesAvoided"))
+    os << "  loadbalance  imbalance "
+       << (avoided < 0 ? "cost     " : "avoided  ") << fmt(std::abs(avoided))
        << " cycles (shadow-static max service "
        << fmt(s.getOr(
               "delta.attrib.loadbalance.shadowStaticMaxService"))
@@ -288,8 +300,7 @@ printAttribution(std::ostream& os, const RunStats& s)
        << " actual)\n";
     os << "  pipeline     overlap recovered  "
        << fmt(s.getOr("delta.attrib.pipeline.overlapCycles"))
-       << " cycles ("
-       << fmt(s.getOr("delta.attrib.pipeline.pipesActivated"))
+       << " cycles (" << fmt(s.getOr("dispatcher.pipesActivated"))
        << " pipes activated, "
        << fmt(s.getOr("delta.attrib.pipeline.pipesDegraded"))
        << " degraded)\n";
@@ -300,13 +311,16 @@ printAttribution(std::ostream& os, const RunStats& s)
        << fmt(s.getOr("delta.attrib.multicast.wordHopsSaved"))
        << " across " << fmt(s.getOr("delta.attrib.multicast.packets"))
        << " multicast packets\n";
-    if (s.has("delta.attrib.steal.tasksStolen")) {
-        os << "  steal        imbalance recovered "
-           << fmt(s.getOr(
-                  "delta.attrib.steal.imbalanceCyclesRecovered"))
+    if (s.has("delta.attrib.steal.shadowMaxService")) {
+        const double recovered =
+            s.getOr("delta.attrib.steal.imbalanceCyclesRecovered");
+        os << "  steal        imbalance "
+           << (recovered < 0 ? "cost      " : "recovered ")
+           << fmt(std::abs(recovered))
            << " cycles (no-steal shadow max service "
            << fmt(s.getOr("delta.attrib.steal.shadowMaxService"))
-           << "): " << fmt(s.getOr("delta.attrib.steal.tasksStolen"))
+           << "): "
+           << fmt(s.getOr("dispatcher.attrib.steal.tasksStolen"))
            << " tasks moved over "
            << fmt(s.getOr("delta.attrib.steal.hopsTraveled"))
            << " hops, "
@@ -627,6 +641,178 @@ printReport(std::ostream& os, const RunStats& s,
     }
     if (opt.trace != nullptr)
         printTraceSummary(os, *opt.trace);
+}
+
+bool
+isSweepReport(const Json& doc)
+{
+    return doc.isObj() && doc.has("grid") && doc.has("runs");
+}
+
+namespace
+{
+
+using Cell = std::tuple<std::string, std::string, double>;
+
+/** Fixed-point @p v plus @p unit; NaN (a failed run) reads FAIL. */
+std::string
+cell(double v, int precision, const char* unit = "")
+{
+    if (std::isnan(v))
+        return "FAIL";
+    std::ostringstream os;
+    os << std::fixed << std::setprecision(precision) << v << unit;
+    return os.str();
+}
+
+/**
+ * A Markdown table of value(workload, config), a row per workload,
+ * closed by each column's geomean — or, when @p ratioTo is a column,
+ * by the geomean ratio of that column to each.  A failed (NaN) cell
+ * fails its column's geomean.  A non-empty @p noteHeader adds a text
+ * column filled by note(workload).
+ */
+void
+markdownTable(std::ostream& os, const std::vector<std::string>& wks,
+              const std::vector<std::string>& cfgs,
+              const std::function<double(const std::string&,
+                                         const std::string&)>& value,
+              int precision, const char* unit,
+              int ratioTo = -1, const std::string& noteHeader = "",
+              const std::function<std::string(const std::string&)>&
+                  note = {})
+{
+    const bool notes = !noteHeader.empty();
+    os << "| workload |";
+    for (const std::string& c : cfgs)
+        os << " " << c << " |";
+    if (notes)
+        os << " " << noteHeader << " |";
+    os << "\n|---|";
+    for (std::size_t i = 0; i < cfgs.size(); ++i)
+        os << "---:|";
+    os << (notes ? "---|\n" : "\n");
+    std::vector<double> geo(cfgs.size(), 0.0);
+    for (const std::string& w : wks) {
+        os << "| " << w << " |";
+        for (std::size_t i = 0; i < cfgs.size(); ++i) {
+            const double v = value(w, cfgs[i]);
+            geo[i] += std::log(v) / static_cast<double>(wks.size());
+            os << " " << cell(v, precision, unit) << " |";
+        }
+        if (notes)
+            os << " " << note(w) << " |";
+        os << "\n";
+    }
+    os << "| **geomean";
+    if (ratioTo >= 0)
+        os << " " << cfgs[ratioTo] << "/config";
+    os << "** |";
+    for (const double g : geo) {
+        os << " "
+           << (ratioTo < 0 ? cell(std::exp(g), precision, unit)
+                           : cell(std::exp(geo[ratioTo] - g), 2, "×"))
+           << " |";
+    }
+    os << (notes ? "  |\n" : "\n");
+}
+
+} // namespace
+
+bool
+printSweepTables(std::ostream& os, const Json& report)
+{
+    const Json& grid = report.at("grid");
+    const std::string base = grid.at("baseline").str;
+    const auto seeds = static_cast<double>(grid.at("seeds").arr.size());
+    std::vector<std::string> wks, cfgs, others;
+    for (const Json& w : grid.at("workloads").arr)
+        wks.push_back(w.str);
+    for (const Json& c : grid.at("configs").arr) {
+        cfgs.push_back(c.str);
+        if (c.str != base)
+            others.push_back(c.str);
+    }
+    const int baseCol = static_cast<int>(
+        std::find(cfgs.begin(), cfgs.end(), base) - cfgs.begin());
+    const auto cellOf = [](const Json& e) {
+        return Cell{e.at("workload").str, e.at("config").str,
+                    e.at("scale").num};
+    };
+
+    // A cell counts only when every seed's run is ok (aggregate n);
+    // energy components sum over the cell's runs.
+    std::map<Cell, double> cycles, speedup;
+    for (const Json& a : report.at("aggregates").arr)
+        cycles[cellOf(a)] =
+            a.at("n").num == seeds ? a.at("meanCycles").num : NAN;
+    for (const Json& sp : report.at("speedups").arr)
+        speedup[cellOf(sp)] =
+            sp.at("n").num == seeds ? sp.at("mean").num : NAN;
+    bool allOk = true;
+    std::map<Cell, std::vector<EnergyEntry>> energy;
+    for (const Json& r : report.at("runs").arr) {
+        allOk = allOk && r.at("correct").b && !r.at("failed").b;
+        StatSet stats;
+        for (const auto& [name, v] : r.at("stats").obj) {
+            if (v.isNum())
+                stats.set(name, v.num);
+        }
+        const EnergyReport run = computeEnergy(
+            stats, static_cast<std::uint32_t>(r.at("lanes").num));
+        std::vector<EnergyEntry>& sum = energy[cellOf(r)];
+        sum.resize(run.entries.size());
+        for (std::size_t i = 0; i < sum.size(); ++i) {
+            sum[i].name = run.entries[i].name;
+            sum[i].nanojoules += run.entries[i].nanojoules;
+        }
+    }
+
+    os << "# Headline tables\n\nRendered by `delta-report` from a "
+          "`delta-sweep` report; do not edit by hand.\nSeeds:";
+    for (const Json& seed : grid.at("seeds").arr)
+        os << " " << static_cast<std::uint64_t>(seed.num);
+    os << "; lanes: " << report.at("runs").arr.at(0).at("lanes").num
+       << "; baseline: " << (base.empty() ? "none" : "`" + base + "`")
+       << ". Multi-seed cells are means "
+       << "over seeds; FAIL marks a failed or incorrect run.\n";
+    double scale = 0.0;
+    const auto cyclesOf = [&](const auto& w, const auto& c) {
+        return cycles.at({w, c, scale});
+    };
+    const auto speedupOf = [&](const auto& w, const auto& c) {
+        return speedup.at({w, c, scale});
+    };
+    const auto microjoulesOf = [&](const auto& w, const auto& c) {
+        double nj = std::isnan(cyclesOf(w, c)) ? NAN : 0.0;
+        for (const EnergyEntry& e : energy.at({w, c, scale}))
+            nj += e.nanojoules;
+        return nj / seeds / 1000.0;
+    };
+    const auto largestBaseComponent = [&](const std::string& w) {
+        const auto& parts = energy.at({w, base, scale});
+        if (std::isnan(cyclesOf(w, base)))
+            return std::string("FAIL");
+        return std::max_element(parts.begin(), parts.end(),
+                                [](const auto& a, const auto& b) {
+                                    return a.nanojoules < b.nanojoules;
+                                })
+            ->name;
+    };
+    for (const Json& scaleJson : grid.at("scales").arr) {
+        scale = scaleJson.num;
+        os << "\n## Scale " << scale << "\n\n### Simulated cycles\n\n";
+        markdownTable(os, wks, cfgs, cyclesOf, 0, "");
+        if (base.empty())
+            continue;
+        os << "\n### Speedup over `" << base << "`\n\n";
+        markdownTable(os, wks, others, speedupOf, 2, "×");
+        os << "\n### Modeled energy (µJ)\n\n";
+        markdownTable(os, wks, cfgs, microjoulesOf, 1, "", baseCol,
+                      "largest `" + base + "` component",
+                      largestBaseComponent);
+    }
+    return allOk;
 }
 
 } // namespace analysis

@@ -8,6 +8,8 @@
  * what each recovered mechanism bought (attribution), how close the
  * run came to its dependence-structure bound (critical path), and
  * which task types dominate the tail (histogram percentiles).
+ * A whole delta-sweep report renders instead as the Markdown
+ * headline tables (cycles, speedup, energy per workload x config).
  * tools/delta-report is a thin CLI over these functions; tests call
  * them directly.
  */
@@ -64,8 +66,25 @@ struct RunStats
  */
 RunStats statsFromJson(const Json& doc);
 
+/** Read and parse a JSON file; fatal() on unreadable/malformed. */
+Json loadJson(const std::string& path);
+
 /** Read and parse a stats file; fatal() on unreadable/malformed. */
 RunStats loadStats(const std::string& path);
+
+/** Whether @p doc is a delta-sweep report (a top-level object with
+ *  `grid` and `runs`) rather than one run's stats dump. */
+bool isSweepReport(const Json& doc);
+
+/**
+ * Render a delta-sweep report as Markdown: per scale, simulated
+ * cycles (`aggregates`), paired speedup over the baseline
+ * (`speedups`) and modeled energy (computeEnergy), a row per
+ * workload, configs in grid order, geomean last.  A cell with a
+ * failed or incorrect run, and its column's geomean, read FAIL.
+ * @return whether every run completed and passed its check.
+ */
+bool printSweepTables(std::ostream& os, const Json& report);
 
 /** One task type's latency summary (from histogram statistics). */
 struct TaskTypeRow

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -13,6 +14,7 @@
 
 #include "analysis/json.hh"
 #include "cache/run_cache.hh"
+#include "driver/grid.hh"
 #include "sim/logging.hh"
 #include "task/task_graph.hh"
 
@@ -115,24 +117,8 @@ std::vector<ConfigVariant>
 sweepConfigsFromList(const std::string& list, std::uint32_t lanes)
 {
     std::vector<ConfigVariant> out;
-    std::string cur;
-    const auto flush = [&] {
-        // Trim surrounding whitespace.
-        const auto b = cur.find_first_not_of(" \t");
-        const auto e = cur.find_last_not_of(" \t");
-        const std::string name =
-            b == std::string::npos ? "" : cur.substr(b, e - b + 1);
-        if (!name.empty())
-            out.push_back(sweepConfig(name, lanes));
-        cur.clear();
-    };
-    for (const char c : list) {
-        if (c == ',')
-            flush();
-        else
-            cur += c;
-    }
-    flush();
+    for (const std::string& name : splitList(list))
+        out.push_back(sweepConfig(name, lanes));
     if (out.empty()) {
         out.push_back(sweepConfig("static", lanes));
         out.push_back(sweepConfig("delta", lanes));
@@ -250,7 +236,9 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     // head task's busy lane (different spatial cycles), and
     // delta.critpath.* covers spawned tasks (different msort-dyn
     // dumps), so v4 dumps would replay stale results.
-    os << "v5 wk=" << wkName(point.workload)
+    // v6: the 18 duplicate dispatcher/delta keys were dropped and
+    // the load-balance attribution is signed.
+    os << "v6 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
        << canonicalConfig(resolvePointConfig(spec, point));
@@ -271,6 +259,10 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
         if (!(s > 0))
             fatal("sweep: scales must be positive, got ", s);
     }
+    if (!spec_.benchJsonDir.empty() &&
+        !std::filesystem::is_directory(spec_.benchJsonDir))
+        fatal("sweep: --bench-json directory '", spec_.benchJsonDir,
+              "' does not exist");
     if (!spec_.baseline.empty()) {
         bool found = false;
         for (const ConfigVariant& c : spec_.configs)
@@ -540,14 +532,6 @@ parallelForWorkers(std::size_t n, unsigned jobs,
         t.join();
 }
 
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)>& fn)
-{
-    parallelForWorkers(n, jobs,
-                       [&](unsigned, std::size_t i) { fn(i); });
-}
-
 SweepReport
 Sweep::run()
 {
@@ -632,12 +616,6 @@ SweepReport::find(Wk w, const std::string& config,
             return &r;
     }
     return nullptr;
-}
-
-bool
-SweepReport::allOk() const
-{
-    return failures() == 0;
 }
 
 std::size_t

@@ -23,9 +23,9 @@
  *    the bench-JSON wrapper shape `tools/delta-report --baseline`
  *    already ingests.
  *
- * tools/delta-sweep is a thin CLI over this; the ported figure
- * benches (fig_speedup, fig_ablation, fig_energy) build a SweepSpec
- * and render their tables from the SweepReport.
+ * tools/delta-sweep is a thin CLI over this; the headline tables
+ * (bench/headline.md) are its report for bench/headline.grid,
+ * rendered by tools/delta-report.
  */
 
 #ifndef TS_DRIVER_SWEEP_HH
@@ -90,7 +90,7 @@ struct SweepSpec
 
     /** When non-empty, each run writes its StatSet in the bench-JSON
      *  wrapper shape to `<dir>/<tag>.json` (delta-report ingestible,
-     *  deterministic names). */
+     *  deterministic names).  The directory must exist. */
     std::string benchJsonDir;
 
     /** When non-empty, each run writes a Perfetto trace to
@@ -240,9 +240,6 @@ struct SweepReport
     const RunOutcome* find(Wk w, const std::string& config,
                            std::uint64_t seed, double scale) const;
 
-    /** Whether every run completed and passed its check. */
-    bool allOk() const;
-
     /** Number of runs that failed or were incorrect. */
     std::size_t failures() const;
 
@@ -262,7 +259,8 @@ struct SweepReport
 };
 
 /** The engine.  Validates the spec on construction (fatal on an
- *  empty axis or an unknown baseline name). */
+ *  empty axis, an unknown baseline name, or a missing benchJsonDir
+ *  directory). */
 class Sweep
 {
   public:
@@ -280,18 +278,11 @@ class Sweep
 };
 
 /**
- * Run fn(0..n-1) on up to @p jobs host threads (0 = hardware
- * concurrency).  The engine's pool, exposed for graph-building
- * figure drivers (tab_workloads) that fan out without simulating.
+ * Run fn(worker, i) for every i in [0, n) on up to @p jobs host
+ * threads (0 = hardware concurrency); @p worker is the dense index
+ * in [0, workers) running the item — for per-worker status
+ * tracking.  Serial fallback (n or jobs <= 1) uses worker 0.
  * @p fn must not throw.
- */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)>& fn);
-
-/**
- * parallelFor, but fn also receives the dense worker index in
- * [0, workers) running the item — for per-worker status tracking.
- * Serial fallback (n or jobs <= 1) uses worker 0.
  */
 void parallelForWorkers(
     std::size_t n, unsigned jobs,

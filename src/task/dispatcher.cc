@@ -1106,49 +1106,37 @@ Dispatcher::reportStats(StatSet& stats) const
     const double actualMax = maxOf(actualService_);
     const double shadowMax = maxOf(shadowService_);
     const double stealShadowMax = maxOf(stealShadowService_);
-    const double avoided = std::max(0.0, shadowMax - actualMax);
-    const double recovered = std::max(0.0, stealShadowMax - actualMax);
-    const auto activated = static_cast<double>(pipesActivated_);
-    const auto degraded = static_cast<double>(pipesDegraded_);
-    const auto fillLines = static_cast<double>(fillLinesRequested_);
     const auto equivLines = static_cast<double>(mcastUnicastLinesEquiv_);
-    const auto spawned = static_cast<double>(tasksSpawned_);
-    const auto stolen = static_cast<double>(tasksStolen_);
-    const auto hops = static_cast<double>(stealHops_);
+    const auto fillLines = static_cast<double>(fillLinesRequested_);
 
-    stats.set("dispatcher.pipesActivated", activated);
-    stats.set("dispatcher.pipesDegraded", degraded);
+    // One name per number: dispatcher.* keys are the dispatcher's own
+    // counters, delta.attrib.* the per-mechanism attribution.
+    stats.set("dispatcher.pipesActivated",
+              static_cast<double>(pipesActivated_));
     stats.set("dispatcher.groupsFired",
               static_cast<double>(groupsFired_));
-    stats.set("dispatcher.fillLines", fillLines);
     stats.set("dispatcher.tasksCompleted",
               static_cast<double>(completed_));
-    stats.set("dispatcher.attrib.actualMaxService", actualMax);
-    stats.set("dispatcher.attrib.shadowStaticMaxService", shadowMax);
-    stats.set("dispatcher.attrib.imbalanceCyclesAvoided", avoided);
-    stats.set("dispatcher.attrib.pipeOverlapCycles", pipeOverlapCycles_);
-    stats.set("dispatcher.attrib.mcastUnicastLinesEquiv", equivLines);
-    stats.set("dispatcher.tasksSpawned", spawned);
-    stats.set("dispatcher.attrib.steal.tasksStolen", stolen);
-    stats.set("dispatcher.attrib.steal.hopsTraveled", hops);
-    stats.set("dispatcher.attrib.steal.shadowMaxService", stealShadowMax);
-    stats.set("dispatcher.attrib.steal.imbalanceCyclesRecovered",
-              recovered);
+    stats.set("dispatcher.tasksSpawned",
+              static_cast<double>(tasksSpawned_));
+    stats.set("dispatcher.attrib.steal.tasksStolen",
+              static_cast<double>(tasksStolen_));
     for (std::size_t l = 0; l < laneDispatched_.size(); ++l) {
         stats.set("dispatcher.lane" + std::to_string(l) + ".dispatched",
                   static_cast<double>(laneDispatched_[l]));
     }
 
-    // Per-mechanism attribution (delta.attrib.*): the imbalance the
-    // dispatch policy avoided against the shadow static assignment,
-    // and the overlap activated pipes recovered.
+    // Load balance: the imbalance the dispatch policy avoided against
+    // the shadow static assignment, signed — negative when the online
+    // placement ended up worse than static would have.
     stats.set("delta.attrib.loadbalance.actualMaxService", actualMax);
     stats.set("delta.attrib.loadbalance.shadowStaticMaxService",
               shadowMax);
-    stats.set("delta.attrib.loadbalance.imbalanceCyclesAvoided", avoided);
+    stats.set("delta.attrib.loadbalance.imbalanceCyclesAvoided",
+              shadowMax - actualMax);
     stats.set("delta.attrib.pipeline.overlapCycles", pipeOverlapCycles_);
-    stats.set("delta.attrib.pipeline.pipesActivated", activated);
-    stats.set("delta.attrib.pipeline.pipesDegraded", degraded);
+    stats.set("delta.attrib.pipeline.pipesDegraded",
+              static_cast<double>(pipesDegraded_));
     // Multicast: DRAM lines requested vs. the unicast replay (the NoC
     // half is reported by Delta::run).
     const double linesSaved = std::max(0.0, equivLines - fillLines);
@@ -1158,15 +1146,14 @@ Dispatcher::reportStats(StatSet& stats) const
     stats.set("delta.attrib.multicast.dramBytesSaved",
               linesSaved * lineBytes);
     // Steal: how far stolen tasks traveled and the imbalance recovered
-    // against the dispatch-time assignment (the lanes report the
-    // request/grant half).
-    stats.set("delta.tasksSpawned", spawned);
+    // (signed) against the dispatch-time assignment (the lanes report
+    // the request/grant half).
     if (cfg_.steal != StealPolicy::None) {
-        stats.set("delta.attrib.steal.tasksStolen", stolen);
-        stats.set("delta.attrib.steal.hopsTraveled", hops);
+        stats.set("delta.attrib.steal.hopsTraveled",
+                  static_cast<double>(stealHops_));
         stats.set("delta.attrib.steal.shadowMaxService", stealShadowMax);
         stats.set("delta.attrib.steal.imbalanceCyclesRecovered",
-                  recovered);
+                  stealShadowMax - actualMax);
     }
     if (spatial_)
         spatial_->reportStats(stats);

@@ -200,10 +200,10 @@ class Dispatcher : public Ticked, private DispatcherState
 
     void tick(Tick now) override;
     bool busy() const override;
-    /** dispatcher.* plus every delta.* key only the dispatcher owns:
-     *  delta.attrib.{loadbalance,pipeline}.*, the dispatcher half of
-     *  delta.attrib.{multicast,steal}.*, delta.spatial.* and
-     *  delta.tasksSpawned. */
+    /** dispatcher.* counters plus every delta.* key only the
+     *  dispatcher owns: delta.attrib.{loadbalance,pipeline}.*, the
+     *  dispatcher half of delta.attrib.{multicast,steal}.* and
+     *  delta.spatial.*.  Each number is written under one name. */
     void reportStats(StatSet& stats) const override;
 
     // Experiment-facing counters.

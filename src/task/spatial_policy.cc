@@ -219,21 +219,13 @@ SpatialPolicy::release(TaskId uid)
 void
 SpatialPolicy::reportStats(StatSet& stats) const
 {
-    const auto forwards = static_cast<double>(forwards_);
-    const auto spills = static_cast<double>(spills_);
-    const auto remaps = static_cast<double>(remaps_);
-    const auto groups = static_cast<double>(groupsAllocated_);
-    const auto bufPeak = static_cast<double>(bufPeak_);
-    stats.set("dispatcher.spatial.forwards", forwards);
-    stats.set("dispatcher.spatial.spills", spills);
-    stats.set("dispatcher.spatial.remaps", remaps);
-    stats.set("dispatcher.spatial.groups", groups);
-    stats.set("dispatcher.spatial.bufPeakWords", bufPeak);
-    stats.set("delta.spatial.forwards", forwards);
-    stats.set("delta.spatial.spills", spills);
-    stats.set("delta.spatial.remaps", remaps);
-    stats.set("delta.spatial.groups", groups);
-    stats.set("delta.attrib.spatial.bufPeakWords", bufPeak);
+    stats.set("delta.spatial.forwards", static_cast<double>(forwards_));
+    stats.set("delta.spatial.spills", static_cast<double>(spills_));
+    stats.set("delta.spatial.remaps", static_cast<double>(remaps_));
+    stats.set("delta.spatial.groups",
+              static_cast<double>(groupsAllocated_));
+    stats.set("delta.attrib.spatial.bufPeakWords",
+              static_cast<double>(bufPeak_));
 }
 
 } // namespace ts

@@ -73,8 +73,7 @@ class SpatialPolicy
     /** Free @p uid's landing-buffer reservations on completion. */
     void release(TaskId uid);
 
-    /** dispatcher.spatial.*, delta.spatial.* and
-     *  delta.attrib.spatial.bufPeakWords. */
+    /** delta.spatial.* and delta.attrib.spatial.bufPeakWords. */
     void reportStats(StatSet& stats) const;
 
   private:

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/area_model.hh"
-#include "accel/energy_model.hh"
+#include "analysis/energy_model.hh"
 #include "sim/rng.hh"
 #include "workloads/workload.hh"
 

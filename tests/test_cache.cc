@@ -299,13 +299,13 @@ TEST(SweepCacheTest, ColdMissesWarmHitsByteIdenticalReport)
 
     driver::Sweep cold(cachedSpec(dir.str()));
     const driver::SweepReport coldReport = cold.run();
-    ASSERT_TRUE(coldReport.allOk());
+    ASSERT_EQ(coldReport.failures(), 0u);
     EXPECT_EQ(coldReport.cacheHits, 0u);
     EXPECT_EQ(coldReport.cacheMisses, 4u);
 
     driver::Sweep warm(cachedSpec(dir.str()));
     const driver::SweepReport warmReport = warm.run();
-    ASSERT_TRUE(warmReport.allOk());
+    ASSERT_EQ(warmReport.failures(), 0u);
     EXPECT_EQ(warmReport.cacheHits, 4u);
     EXPECT_EQ(warmReport.cacheMisses, 0u);
 

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/json.hh"
+#include "analysis/report.hh"
 #include "driver/grid.hh"
 #include "driver/options.hh"
 #include "driver/sweep.hh"
@@ -334,6 +337,25 @@ TEST(SweepTest, EmptyAxisFailsFast)
     EXPECT_THROW(Sweep{spec}, FatalError);
 }
 
+TEST(SweepTest, MissingBenchJsonDirFailsBeforeAnyRun)
+{
+    // A missing --bench-json directory would silently drop every
+    // per-run dump; the engine refuses it up front, naming it.
+    SweepSpec spec = smallSpec();
+    spec.benchJsonDir = testing::TempDir() + "/no-such-bench-json-dir";
+    bool started = false;
+    spec.onCellStart = [&](unsigned, const RunPoint&) { started = true; };
+    try {
+        Sweep(spec).run();
+        ADD_FAILURE() << "a missing bench-json directory was accepted";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find(spec.benchJsonDir),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(started);
+}
+
 // ---------------------------------------------------------------------
 // Sweep: parallel execution determinism (the core contract).
 // ---------------------------------------------------------------------
@@ -405,7 +427,6 @@ TEST(SweepTest, FailedRunSurfacesInReport)
 
     SweepReport report = Sweep(spec).run();
     ASSERT_EQ(report.runs.size(), 2u);
-    EXPECT_FALSE(report.allOk());
     EXPECT_EQ(report.failures(), 1u);
 
     const RunOutcome* bad = report.find(Wk::Spmv, "delta", 7, 0.25);
@@ -480,14 +501,100 @@ TEST(SweepTest, AggregationMathIsExact)
 
 TEST(SweepTest, ParallelForCoversEveryIndexOnce)
 {
+    constexpr unsigned kWorkers = 8;
     std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits)
-        h = 0;
-    parallelFor(hits.size(), 8, [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < hits.size(); ++i)
+    std::vector<std::atomic<unsigned>> worker(hits.size());
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        hits[i] = 0;
+        worker[i] = 0;
+    }
+    parallelForWorkers(hits.size(), kWorkers,
+                       [&](unsigned w, std::size_t i) {
+                           hits[i].fetch_add(1);
+                           worker[i] = w;
+                       });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        EXPECT_LT(worker[i].load(), kWorkers) << "index " << i;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Headline tables: delta-report's Markdown rendering of a sweep report.
+// ---------------------------------------------------------------------
+
+/** Render @p report the way `delta-report REPORT.json` does. */
+std::string
+renderTables(const SweepReport& report, bool& allOk)
+{
+    std::ostringstream json;
+    report.writeJson(json);
+    analysis::Json doc;
+    EXPECT_TRUE(analysis::parseJson(json.str(), doc));
+    EXPECT_TRUE(analysis::isSweepReport(doc));
+    std::ostringstream md;
+    allOk = analysis::printSweepTables(md, doc);
+    return md.str();
+}
+
+TEST(SweepTest, HeadlineTablesRenderFromReport)
+{
+    SweepSpec spec = smallSpec();
+    spec.seeds = {7};
+    spec.jobs = 2;
+    const SweepReport report = Sweep(spec).run();
+    bool allOk = false;
+    const std::string md = renderTables(report, allOk);
+    EXPECT_TRUE(allOk);
+    EXPECT_NE(md.find("## Scale 0.25"), std::string::npos) << md;
+    EXPECT_NE(md.find("### Speedup over `static`"), std::string::npos);
+    EXPECT_EQ(md.find("FAIL |"), std::string::npos) << md;
+
+    // Cycle and speedup cells come straight from the report.
+    const double st = report.find(Wk::Spmv, "static", 7, 0.25)->cycles;
+    const double dy = report.find(Wk::Spmv, "delta", 7, 0.25)->cycles;
+    char row[96];
+    std::snprintf(row, sizeof(row), "| spmv | %.0f | %.0f |", st, dy);
+    EXPECT_NE(md.find(row), std::string::npos) << row << "\n" << md;
+    std::snprintf(row, sizeof(row), "| spmv | %.2f× |", st / dy);
+    EXPECT_NE(md.find(row), std::string::npos) << row << "\n" << md;
+
+    // One geomean row per table: cycles, speedup, energy.
+    std::size_t geomeans = 0;
+    for (std::size_t at = md.find("| **geomean"); at != std::string::npos;
+         at = md.find("| **geomean", at + 1))
+        ++geomeans;
+    EXPECT_EQ(geomeans, 3u);
+
+    // A single run's stats dump is not a sweep report.
+    analysis::Json run;
+    ASSERT_TRUE(analysis::parseJson(
+        "{\"workload\": \"spmv\", \"stats\": {}}", run));
+    EXPECT_FALSE(analysis::isSweepReport(run));
+}
+
+TEST(SweepTest, HeadlineTablesMarkFailedRuns)
+{
+    SweepSpec spec = smallSpec();
+    spec.seeds = {7};
+    spec.jobs = 2;
+    // Starve msort's delta run: its cells, and the geomeans they
+    // feed, render FAIL and the renderer reports the failure.
+    for (ConfigVariant& c : spec.configs) {
+        if (c.name == "delta")
+            c.cfg.maxCycles = 2000;
+    }
+    const SweepReport report = Sweep(spec).run();
+    ASSERT_TRUE(report.find(Wk::Spmv, "delta", 7, 0.25)->ok());
+    ASSERT_FALSE(report.find(Wk::Msort, "delta", 7, 0.25)->ok());
+
+    bool allOk = true;
+    const std::string md = renderTables(report, allOk);
+    EXPECT_FALSE(allOk);
+    EXPECT_EQ(md.find("| spmv | FAIL"), std::string::npos) << md;
+    EXPECT_NE(md.find("| msort | FAIL |\n"), std::string::npos) << md;
+    EXPECT_NE(md.find("| **geomean** | FAIL |\n"), std::string::npos)
+        << md;
 }
 
 // ---------------------------------------------------------------------

@@ -142,7 +142,7 @@ TEST(DispatcherDynamic, SpawnedEdgeToRunningProducerIsHonored)
     const StatSet stats = delta.run(g);
 
     EXPECT_EQ(stats.get("dispatcher.tasksCompleted"), 2.0);
-    EXPECT_EQ(stats.get("delta.tasksSpawned"), 1.0);
+    EXPECT_EQ(stats.get("dispatcher.tasksSpawned"), 1.0);
     EXPECT_EQ(img.readInt(y), 42);
 }
 
@@ -267,9 +267,9 @@ TEST(DispatcherDynamic, MsortDynUnfoldsTreeFromOneTask)
 
     const StatSet stats = delta.run(g);
     EXPECT_TRUE(wl->check(delta.image()));
-    EXPECT_GT(stats.get("delta.tasksSpawned"), 0.0);
+    EXPECT_GT(stats.get("dispatcher.tasksSpawned"), 0.0);
     EXPECT_EQ(stats.get("dispatcher.tasksCompleted"),
-              1.0 + stats.get("delta.tasksSpawned"));
+              1.0 + stats.get("dispatcher.tasksSpawned"));
 }
 
 TEST(DispatcherDynamic, MsortDynCriticalPathFollowsSpawnedMerges)

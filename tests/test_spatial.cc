@@ -415,8 +415,8 @@ TEST(SpatialEndToEnd, SpawnedTasksInheritTheirSpawnersLane)
     const StatSet stats =
         runSpatial(Wk::MsortDyn, DeltaConfig::spatial(8), &correct);
     EXPECT_TRUE(correct);
-    EXPECT_GT(stats.get("delta.tasksSpawned"), 0);
-    EXPECT_EQ(stats.getOr("delta.attrib.steal.tasksStolen", 0.0), 0.0);
+    EXPECT_GT(stats.get("dispatcher.tasksSpawned"), 0);
+    EXPECT_EQ(stats.get("dispatcher.attrib.steal.tasksStolen"), 0.0);
 }
 
 } // namespace

@@ -66,7 +66,7 @@ resultOf(Delta& delta, Wk wk)
     r.correct = wl->check(delta.image());
     r.stealRequests = stats.getOr("delta.attrib.steal.requests", 0.0);
     r.tasksStolen =
-        stats.getOr("delta.attrib.steal.tasksStolen", 0.0);
+        stats.get("dispatcher.attrib.steal.tasksStolen");
     return r;
 }
 

@@ -456,7 +456,7 @@ TEST(Multicast, SingleFetchServesAllSubscribers)
     }
     const StatSet stats = delta.run(g);
     EXPECT_EQ(delta.dispatcher().groupsFired(), 1u);
-    EXPECT_EQ(stats.get("dispatcher.fillLines"),
+    EXPECT_EQ(stats.get("delta.attrib.multicast.fillLines"),
               static_cast<double>(n / lineWords));
     // Every subscriber lane landed the fill once.
     EXPECT_EQ(stats.sumPrefix("lane0.fillLinesLanded") +

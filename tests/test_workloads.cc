@@ -72,7 +72,7 @@ TEST_P(WorkloadCorrectness, GoldenMatch)
     // submitted; completed must equal submitted plus spawned.
     EXPECT_EQ(stats.get("dispatcher.tasksCompleted"),
               static_cast<double>(graph.numTasks()) +
-                  stats.get("delta.tasksSpawned"));
+                  stats.get("dispatcher.tasksSpawned"));
 }
 
 std::string

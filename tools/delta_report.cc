@@ -5,27 +5,20 @@
  * Ingests the flat stats JSON a run writes (--stats-json, or a
  * --bench-json per-bench file) and prints the cycle-accounting
  * waterfall, per-mechanism speedup attribution, the critical-path
- * bound, and the slowest task types with latency percentiles.
+ * bound, and the slowest task types with latency percentiles (flags:
+ * see usage()).  With several runs, a side-by-side comparison table
+ * follows, against --baseline when given and the first run
+ * otherwise.
  *
- * Usage:
- *   delta-report RUN.json [MORE.json ...] [options]
- *     --baseline FILE.json     compare against another run (speedup)
- *     --trace TRACE.json       summarize a Perfetto trace alongside
- *     --topk N                 task-type rows to print (default 5)
- *     --assert-speedup-min X   exit 1 unless speedup >= X (CI gates;
- *                              requires --baseline)
- *
- * With more than one positional run (e.g. the static, delta, and
- * spatial bench dumps of one workload) the full report covers the
- * first run and a side-by-side comparison table follows, using
- * --baseline as the reference column when given and the first
- * positional otherwise.
+ * Given a delta-sweep report (`delta-sweep --out`) instead, it prints
+ * the Markdown headline tables — cycles, speedup over the grid's
+ * baseline, and modeled energy per workload x config — and exits 1
+ * when any run failed or was incorrect.  The input's shape decides;
+ * there is no flag.
  */
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +33,8 @@ usage(const char* argv0)
 {
     std::cerr
         << "usage: " << argv0 << " RUN.json [MORE.json ...] [options]\n"
+        << "       " << argv0 << " SWEEP.json   (delta-sweep --out:\n"
+        << "   Markdown cycles/speedup/energy tables)\n"
         << "  (several runs print a side-by-side comparison table;\n"
         << "   the baseline column is --baseline when given, else\n"
         << "   the first run)\n"
@@ -111,9 +106,16 @@ main(int argc, char** argv)
     };
 
     try {
-        std::vector<RunStats> runs;
-        for (const std::string& p : runPaths)
-            runs.push_back(loadStats(p));
+        const Json first = loadJson(runPaths.front());
+        if (isSweepReport(first)) {
+            if (runPaths.size() > 1 || !baselinePath.empty() ||
+                !tracePath.empty() || speedupMin >= 0 || timeline)
+                fatal("a sweep report takes no other runs or options");
+            return printSweepTables(std::cout, first) ? 0 : 1;
+        }
+        std::vector<RunStats> runs{statsFromJson(first)};
+        for (std::size_t i = 1; i < runPaths.size(); ++i)
+            runs.push_back(loadStats(runPaths[i]));
         const RunStats& run = runs.front();
 
         RunStats baseline;
@@ -126,13 +128,7 @@ main(int argc, char** argv)
             opt.baseline = &baseline;
         }
         if (!tracePath.empty()) {
-            std::ifstream in(tracePath);
-            if (!in)
-                fatal("cannot open trace file '", tracePath, "'");
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            if (!parseJson(buf.str(), trace))
-                fatal("malformed JSON in trace '", tracePath, "'");
+            trace = loadJson(tracePath);
             opt.trace = &trace;
         }
 
