@@ -159,6 +159,10 @@ Delta::restore(const DeltaSnapshot& s)
     noc_->restoreCounters(s.noc_);
     sim_.restore(s.sim_);
     ran_ = s.ran_;
+    // The snapshot rewinds sim.host.wallNs; the profile buckets must
+    // restart with it or a forked run reports its predecessors' time.
+    if (profiler_)
+        *profiler_ = obs::HostProfiler{};
 }
 
 namespace

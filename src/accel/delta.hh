@@ -142,14 +142,16 @@ class Delta
      * time, every component, the memory image, the registry
      * watermark).  Taken at a quiescent point — typically right after
      * construction — and restored any number of times with restore(),
-     * so one construction serves many runs (snapshot/fork warm
-     * starts).  Forked runs are bit-identical to from-scratch runs;
-     * see DESIGN.md §7 for the ownership/copy contract.  Does not
-     * compose with tracing (checked).
+     * so one construction serves many runs.  Forked runs are
+     * bit-identical to from-scratch runs; see DESIGN.md §7 for the
+     * ownership/copy contract.  Does not compose with tracing
+     * (checked).
      */
     std::unique_ptr<DeltaSnapshot> snapshot() const;
 
-    /** Rewind to a snapshot taken on this same instance. */
+    /** Rewind to a snapshot taken on this same instance.  The host
+     *  profile (sim.host.profile.*) restarts from zero, like
+     *  sim.host.wallNs. */
     void restore(const DeltaSnapshot& s);
 
     /** The functional memory image (workload setup and checking). */

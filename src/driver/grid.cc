@@ -189,11 +189,6 @@ const GridKeyDef kGridKeys[] = {
      [](const std::string& v, RunOptions&, GridSettings& g) {
          g.cacheCapBytes = parseCapBytes(v);
      }},
-    {"no-snapshot-fork", "0 | 1",
-     "fresh Delta per point instead of snapshot/fork warm starts",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.noSnapshotFork = v != "0";
-     }},
     {"timeline", "non-negative integer (cycles; 0 = off)",
      "delta.timeline.* sampling interval",
      [](const std::string& v, RunOptions& o, GridSettings&) {
@@ -278,6 +273,10 @@ loadGridFile(const std::string& path, RunOptions& opt,
 SweepSpec
 buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
 {
+    if (!opt.statsJsonPath.empty())
+        fatal("--stats-json writes one file, which every sweep point "
+              "would overwrite; use --bench-json DIR for per-run "
+              "dumps");
     SweepSpec spec;
     spec.workloads = opt.workloads.empty() ? workloadsFromList("")
                                            : opt.workloads;
@@ -296,12 +295,12 @@ buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
     spec.timelineInterval = opt.timelineInterval;
     spec.timelineSeries = opt.timelineSeries;
     spec.hostProfile = opt.hostProfile;
+    spec.flightRecorder = opt.flightRecorder;
     spec.steal = opt.steal;
     spec.sched = opt.sched;
     spec.schedSet = opt.schedSet;
     spec.cacheDir = grid.cacheDir;
     spec.cacheCapBytes = grid.cacheCapBytes;
-    spec.noSnapshotFork = grid.noSnapshotFork;
     return spec;
 }
 

@@ -36,7 +36,6 @@ struct GridSettings
 
     std::string cacheDir;            ///< run cache ("" = off)
     std::uint64_t cacheCapBytes = 0; ///< cache budget (0 = unbounded)
-    bool noSnapshotFork = false;     ///< fresh Delta per point
     bool dryRun = false;             ///< expand + predict, no runs
 };
 
@@ -84,7 +83,9 @@ void loadGridFile(const std::string& path, RunOptions& opt,
  * Assemble the SweepSpec that @p opt and @p grid describe (empty
  * workload selection = the whole suite; progress is left off for the
  * caller to decide).  Fatal on invalid combinations, mirroring the
- * Sweep constructor's validation.
+ * Sweep constructor's validation, and on --stats-json, whose single
+ * file every point would overwrite (--bench-json DIR is the per-point
+ * dump).
  */
 SweepSpec buildSweepSpec(const RunOptions& opt,
                          const GridSettings& grid);

@@ -6,9 +6,9 @@
  * examples, one-shot tools — used to repeat the same glue: make a
  * workload, build a Delta with the options applied, emit the graph,
  * run, check, and hand-write a bench-JSON wrapper.  That glue lives
- * here once.  The sweep engine (sweep.hh) remains separate: it adds
- * caching, snapshot forking, and deterministic grid aggregation on
- * top of the same underlying steps.
+ * here once.  The sweep engine (sweep.hh) runs each grid point
+ * through runOne too, and adds the run cache, deterministic per-point
+ * file names and grid aggregation around it.
  *
  * Three entry points, most-derived first:
  *   runOne(opt, spec)       custom build/check callbacks (examples

@@ -15,8 +15,8 @@
 #include "analysis/json.hh"
 #include "cache/run_cache.hh"
 #include "driver/grid.hh"
+#include "driver/run_one.hh"
 #include "sim/logging.hh"
-#include "task/task_graph.hh"
 
 namespace ts
 {
@@ -207,10 +207,13 @@ resolvePointConfig(const SweepSpec& spec, const RunPoint& point)
         cfg.timelineMaxSamples = spec.timelineMaxSamples;
         cfg.timelineSeries = spec.timelineSeries;
     }
-    // Host-side only: changes sim.host.* output but never simulated
-    // results, so it stays out of canonicalConfig/cache keys.
+    // Host-side only: they change sim.host.* output or a failed
+    // point's error text but never simulated results, so they stay
+    // out of canonicalConfig/cache keys.
     if (spec.hostProfile)
         cfg.hostProfile = true;
+    if (spec.flightRecorder > 0)
+        cfg.flightRecorder = spec.flightRecorder;
     // Behaviour-relevant: canonicalConfig covers cfg.steal, so a
     // spec-level override changes every point's cache key.
     if (cfg.steal == StealPolicy::None)
@@ -371,45 +374,9 @@ rehydrateOutcome(const std::string& payload, const RunPoint& point,
     return true;
 }
 
-/**
- * One warm-start slot: a constructed accelerator plus its pristine
- * post-construction snapshot.  Each worker thread keeps a few slots
- * keyed by canonical config, so a sweep builds each distinct
- * configuration once per thread and forks it for every (workload,
- * seed, scale) cell.
- */
-struct ForkSlot
-{
-    std::string key;
-    std::unique_ptr<Delta> delta;
-    std::unique_ptr<DeltaSnapshot> snap;
-};
-
-constexpr std::size_t kMaxForkSlots = 8;
-
-std::vector<ForkSlot>&
-forkSlots()
-{
-    thread_local std::vector<ForkSlot> slots;
-    return slots;
-}
-
-void
-dropForkSlot(const std::string& key)
-{
-    auto& slots = forkSlots();
-    for (auto it = slots.begin(); it != slots.end(); ++it) {
-        if (it->key == key) {
-            slots.erase(it);
-            return;
-        }
-    }
-}
-
 /** Execute one grid point in full isolation on the calling thread.
- *  Consults the run cache first (when given); on a miss, runs —
- *  forking a per-config snapshot unless disabled — and publishes
- *  the finished result. */
+ *  Consults the run cache first (when given); on a miss, runs it on
+ *  a freshly built Delta and publishes the finished result. */
 RunOutcome
 executePoint(const SweepSpec& spec, const RunPoint& point,
              const cache::RunCache* cache, bool& fromCache)
@@ -437,58 +404,24 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
         }
     }
 
-    // Tracing holds external state a rewind would corrupt, so traced
-    // sweeps always build from scratch.
-    const bool fork = spec.tracePath.empty() && !spec.noSnapshotFork;
-    std::string cfgKey;
     try {
         DeltaConfig cfg = resolvePointConfig(spec, point);
         if (!spec.tracePath.empty())
             cfg.trace = traceConfigTagged(spec.tracePath, point.tag());
 
-        SuiteParams sp;
-        sp.seed = point.seed;
-        sp.scale = point.scale;
-        auto wl = makeWorkload(point.workload, sp);
-
-        Delta* delta = nullptr;
-        std::unique_ptr<Delta> fresh;
-        if (fork) {
-            cfgKey = canonicalConfig(cfg);
-            auto& slots = forkSlots();
-            for (ForkSlot& s : slots) {
-                if (s.key == cfgKey) {
-                    s.delta->restore(*s.snap);
-                    delta = s.delta.get();
-                    break;
-                }
-            }
-            if (delta == nullptr) {
-                ForkSlot slot;
-                slot.key = cfgKey;
-                slot.delta = std::make_unique<Delta>(cfg);
-                slot.snap = slot.delta->snapshot();
-                slots.push_back(std::move(slot));
-                if (slots.size() > kMaxForkSlots)
-                    slots.erase(slots.begin());
-                delta = slots.back().delta.get();
-            }
-        } else {
-            fresh = std::make_unique<Delta>(cfg);
-            delta = fresh.get();
-        }
-
-        TaskGraph graph;
-        wl->build(*delta, graph);
-        out.stats = delta->run(graph);
-        out.cycles = out.stats.get("delta.cycles");
-        out.correct = wl->check(delta->image());
+        // Beyond seed and scale, default options change nothing in
+        // cfg and write no files: the sweep's own outputs are the
+        // report and benchWrapperJson.
+        RunOptions opt;
+        opt.seed = point.seed;
+        opt.scale = point.scale;
+        RunResult r = runOne(opt, point.workload, cfg);
+        out.stats = std::move(r.stats);
+        out.cycles = r.cycles;
+        out.correct = r.correct;
     } catch (const std::exception& e) {
         out.failed = true;
         out.error = e.what();
-        // The slot's Delta may be stuck mid-run; rebuild next time.
-        if (fork && !cfgKey.empty())
-            dropForkSlot(cfgKey);
     }
 
     if (!out.failed) {

@@ -121,6 +121,11 @@ struct SweepSpec
      *  relevant, and excluded from byte-compared dumps. */
     bool hostProfile = false;
 
+    /** Flight-recorder ring capacity per run (0 = off); a run that
+     *  deadlocks dumps its ring into the point's error.  Host-side
+     *  only, like hostProfile. */
+    std::size_t flightRecorder = 0;
+
     /** Work-stealing override applied to every config whose preset
      *  left stealing off.  Behaviour-relevant (unlike hostProfile): the
      *  resolved policy lands in canonicalConfig and so in every
@@ -146,11 +151,6 @@ struct SweepSpec
 
     /** Cache size budget in bytes (0 = unbounded). */
     std::uint64_t cacheCapBytes = 0;
-
-    /** Disable snapshot/fork warm starts: build a fresh Delta for
-     *  every point instead of forking each config's one-time
-     *  snapshot.  Bit-identical; for differential checks. */
-    bool noSnapshotFork = false;
 
     /**
      * Called once per retired point, in completion order under the

@@ -10,7 +10,7 @@ namespace trace
 
 namespace detail
 {
-thread_local Tracer* gActive = nullptr;
+constinit thread_local Tracer* gActive = nullptr;
 } // namespace detail
 
 namespace

@@ -66,8 +66,10 @@ class Tracer;
 namespace detail
 {
 /** The tracer receiving this thread's events, or nullptr when
- *  tracing is off on this thread. */
-extern thread_local Tracer* gActive;
+ *  tracing is off on this thread.  constinit lets the compiler read
+ *  it directly instead of through a TLS init wrapper (which UBSan
+ *  reports as a null load). */
+extern constinit thread_local Tracer* gActive;
 } // namespace detail
 
 /** Whether any instrumentation site should emit events. */

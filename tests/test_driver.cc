@@ -356,6 +356,44 @@ TEST(SweepTest, MissingBenchJsonDirFailsBeforeAnyRun)
     EXPECT_FALSE(started);
 }
 
+TEST(SweepTest, StatsJsonIsRejectedNamingBenchJson)
+{
+    // One --stats-json file cannot hold a grid: every point would
+    // overwrite it.  The sweep refuses it and names the per-point
+    // alternative.
+    Argv a({"delta-sweep", "--stats-json", "stats.json"});
+    const RunOptions opt = parseCommandLine(a.argc, a.argv());
+    try {
+        (void)buildSweepSpec(opt, GridSettings{});
+        ADD_FAILURE() << "--stats-json was accepted by a sweep";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("--bench-json DIR"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SweepTest, FlightRecorderFlagReachesEveryPoint)
+{
+    // --flight-recorder N arms every point's ring, so a point that
+    // overruns its cycle budget dumps its last records in the error.
+    Argv a({"delta-sweep", "--workloads", "spmv", "--scale", "0.25",
+            "--flight-recorder", "64"});
+    const RunOptions opt = parseCommandLine(a.argc, a.argv());
+    GridSettings grid;
+    grid.configs = "delta";
+    SweepSpec spec = buildSweepSpec(opt, grid);
+    spec.configs.front().cfg.maxCycles = 10;
+    spec.jobs = 1;
+
+    const SweepReport report = Sweep(spec).run();
+    ASSERT_EQ(report.runs.size(), 1u);
+    EXPECT_TRUE(report.runs[0].failed);
+    EXPECT_NE(report.runs[0].error.find("flight recorder"),
+              std::string::npos)
+        << report.runs[0].error;
+}
+
 // ---------------------------------------------------------------------
 // Sweep: parallel execution determinism (the core contract).
 // ---------------------------------------------------------------------

@@ -357,7 +357,8 @@ TEST(TimelineTest, MaxSamplesCapsTheCadence)
 
 // ---------------------------------------------------------------------
 // Determinism: the timeline must never depend on how the host ran
-// the simulation (thread count, snapshot forks).
+// the simulation (thread count).  Forks are covered at the Delta
+// level by SnapshotForkDifferential, which samples the timeline.
 // ---------------------------------------------------------------------
 
 driver::SweepSpec
@@ -402,24 +403,6 @@ TEST(TimelineDeterminismTest, ParallelSweepBitIdenticalToSerial)
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i])
             << "timeline columns diverged between -j1 and -j4";
-}
-
-TEST(TimelineDeterminismTest, ForkedRunsBitIdenticalToFresh)
-{
-    driver::SweepSpec forked = timelineSpec();
-    // Two seeds make the second run of each config a snapshot fork.
-    forked.seeds = {7, 11};
-    forked.jobs = 1;
-    driver::SweepSpec fresh = forked;
-    fresh.noSnapshotFork = true;
-
-    const auto a = runDumps(std::move(forked));
-    const auto b = runDumps(std::move(fresh));
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i], b[i])
-            << "timeline columns diverged between forked and fresh "
-               "runs";
 }
 
 } // namespace

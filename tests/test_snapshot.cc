@@ -6,8 +6,10 @@
  * byte-identical statistics and functional results to a Delta built
  * from scratch — for every workload, under the static baseline, the
  * full TaskStream config, work stealing and spatial mapping (the
- * presets carrying steal and spatial dispatcher state), and across
- * repeated restores of one snapshot.
+ * presets carrying steal and spatial dispatcher state), with the
+ * delta.timeline.* series sampled, and across repeated restores of
+ * one snapshot.  A restore also restarts the host profile, so a
+ * forked run never reports its predecessors' host time.
  *
  * Also covers the registry watermark (mark/rollback) that lets the
  * append-only TaskTypeRegistry rewind across forks, and the
@@ -73,7 +75,9 @@ TEST_P(SnapshotForkDifferential, ForkedRunsBitIdenticalToFresh)
 {
     const Wk wk = std::get<0>(GetParam());
     const std::string& preset = std::get<1>(GetParam());
-    const DeltaConfig cfg = driver::sweepConfig(preset).cfg;
+    DeltaConfig cfg = driver::sweepConfig(preset).cfg;
+    // The timeline sampler's columns must survive a fork too.
+    cfg.timelineInterval = 500;
 
     RunResult fresh;
     {
@@ -81,6 +85,8 @@ TEST_P(SnapshotForkDifferential, ForkedRunsBitIdenticalToFresh)
         fresh = resultOf(delta, wk);
     }
     ASSERT_TRUE(fresh.correct);
+    ASSERT_NE(fresh.statsJson.find("delta.timeline.samples"),
+              std::string::npos);
 
     Delta forked(cfg);
     const auto snap = forked.snapshot();
@@ -116,6 +122,33 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("static", "delta",
                                          "work-steal", "spatial")),
     snapName);
+
+TEST(SnapshotHostProfileTest, RestoreRestartsTheProfile)
+{
+    // The profile buckets time sections inside one run, so they sum
+    // to no more than that run's sim.host.wallNs — which restore()
+    // rewinds.  Buckets carried over from earlier runs break that.
+    DeltaConfig cfg = DeltaConfig::delta();
+    cfg.hostProfile = true;
+    Delta delta(cfg);
+    const auto snap = delta.snapshot();
+    for (int rep = 0; rep < 3; ++rep) {
+        if (rep > 0)
+            delta.restore(*snap);
+        SuiteParams sp;
+        sp.scale = 0.25;
+        sp.seed = 7;
+        auto wl = makeWorkload(Wk::Msort, sp);
+        TaskGraph graph;
+        wl->build(delta, graph);
+        const StatSet stats = delta.run(graph);
+        ASSERT_TRUE(stats.has("sim.host.profile.tickLaneNs"));
+        EXPECT_LE(stats.sumPrefix("sim.host.profile."),
+                  stats.get("sim.host.wallNs"))
+            << "run " << rep
+            << " reports host time spent before its restore";
+    }
+}
 
 // ---------------------------------------------------------------------
 // Registry watermark.
