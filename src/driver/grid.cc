@@ -1,7 +1,9 @@
 #include "driver/grid.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 
 #include "sim/logging.hh"
 
@@ -32,214 +34,39 @@ splitList(const std::string& list)
     return out;
 }
 
-std::vector<std::uint64_t>
-parseSeedList(const std::string& list)
+GridSettings::GridSettings()
 {
-    std::vector<std::uint64_t> out;
-    for (const std::string& s : splitList(list)) {
-        std::uint64_t v = 0;
-        if (!parseUnsigned(s, v))
-            fatal("--seeds entries must be non-negative integers, "
-                  "got '", s, "'");
-        out.push_back(v);
-    }
-    if (out.empty())
-        fatal("--seeds needs at least one entry");
-    return out;
+    seeds.clear();
+    scales.clear();
+    progress = "auto";
 }
 
-std::vector<double>
-parseScaleList(const std::string& list)
+SweepSpec
+GridSettings::spec() const
 {
-    std::vector<double> out;
-    for (const std::string& s : splitList(list)) {
-        char* end = nullptr;
-        const double v = std::strtod(s.c_str(), &end);
-        if (end == s.c_str() || *end != '\0' || !(v > 0))
-            fatal("--scales entries must be positive numbers, got '",
-                  s, "'");
-        out.push_back(v);
-    }
-    if (out.empty())
-        fatal("--scales needs at least one entry");
-    return out;
-}
-
-std::uint32_t
-parseLanes(const std::string& s)
-{
-    char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 1 || v > 62)
-        fatal("--lanes must be in 1..62, got '", s, "'");
-    return static_cast<std::uint32_t>(v);
-}
-
-std::uint64_t
-parseCapBytes(const std::string& s)
-{
-    std::uint64_t v = 0;
-    if (!parseUnsigned(s, v, /*allowUnit=*/true))
-        fatal("--cache-cap must be BYTES[K|M|G], got '", s, "'");
-    return v;
-}
-
-namespace
-{
-
-std::uint32_t
-parsePositive(const std::string& value, const char* key)
-{
-    std::uint64_t v = 0;
-    if (!parseUnsigned(value, v) || v < 1 || v > UINT32_MAX)
-        fatal("grid key '", key, "' must be a positive integer, "
-              "got '", value, "'");
-    return static_cast<std::uint32_t>(v);
-}
-
-/** One entry of the grid-key vocabulary: the key, the values it
- *  accepts (printed by `delta-sweep --list-grid-keys`), a one-line
- *  meaning, and the setter. */
-struct GridKeyDef
-{
-    const char* key;
-    const char* values;
-    const char* help;
-    void (*apply)(const std::string& value, RunOptions& opt,
-                  GridSettings& grid);
-};
-
-const GridKeyDef kGridKeys[] = {
-    {"workloads", "comma list of workload names, or 'all'",
-     "workload axis (default: the whole suite)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.workloads = workloadsFromList(v);
-     }},
-    {"configs",
-     "comma list of: static, dyn, work, work-steal, pipe, delta, "
-     "spatial",
-     "accelerator-config axis (default: static,delta)",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.configs = v;
-         (void)sweepConfigsFromList(v); // validate now
-     }},
-    {"seeds", "comma list of non-negative integers",
-     "RNG-seed axis",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.seeds = parseSeedList(v);
-     }},
-    {"scales", "comma list of positive numbers",
-     "problem-size axis",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.scales = parseScaleList(v);
-     }},
-    {"lanes", "integer in 1..62", "accelerator lane count",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.lanes = parseLanes(v);
-     }},
-    {"baseline", "a name from the configs list",
-     "config paired speedups are measured against",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.baseline = v;
-     }},
-    {"steal", "none | steal-one | steal-half",
-     "NoC work stealing for configs whose preset leaves it off "
-     "(cache-key relevant)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         if (!stealPolicyFromName(v, o.steal))
-             fatal("grid key 'steal' must be none, steal-one, or "
-                   "steal-half, got '", v, "'");
-     }},
-    {"sched", "static | dyncount | workaware | spatial",
-     "scheduling-policy override for every config "
-     "(cache-key relevant)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         if (!schedPolicyFromName(v, o.sched))
-             fatal("grid key 'sched' must be static, dyncount, "
-                   "workaware, or spatial, got '", v, "'");
-         o.schedSet = true;
-     }},
-    {"jobs", "positive integer", "host worker threads",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.jobs = parsePositive(v, "jobs");
-     }},
-    {"out", "path", "aggregate JSON report destination",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.out = v;
-     }},
-    {"bench-json", "directory path",
-     "per-run bench-JSON wrapper dumps",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.benchJsonDir = v;
-     }},
-    {"trace", "path", "per-point Perfetto traces",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.tracePath = v;
-     }},
-    {"no-fast-forward", "0 | 1",
-     "naive per-cycle ticking (bit-identical reference mode)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.noFastForward = v != "0";
-     }},
-    {"cache", "directory path", "content-addressed run cache root",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.cacheDir = v;
-     }},
-    {"cache-cap", "BYTES[K|M|G]", "run-cache size budget",
-     [](const std::string& v, RunOptions&, GridSettings& g) {
-         g.cacheCapBytes = parseCapBytes(v);
-     }},
-    {"timeline", "non-negative integer (cycles; 0 = off)",
-     "delta.timeline.* sampling interval",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         if (!parseUnsigned(v, o.timelineInterval))
-             fatal("grid key 'timeline' must be a non-negative "
-                   "integer, got '", v, "'");
-     }},
-    {"timeline-series", "subset of lanes,ready,noc,dram",
-     "timeline probe groups (default: all)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.timelineSeries = v;
-     }},
-    {"host-profile", "0 | 1",
-     "host wall-time attribution (sim.host.profile.*)",
-     [](const std::string& v, RunOptions& o, GridSettings&) {
-         o.hostProfile = v != "0";
-     }},
-};
-
-} // namespace
-
-void
-applyGridKey(const std::string& key, const std::string& value,
-             RunOptions& opt, GridSettings& grid)
-{
-    for (const GridKeyDef& def : kGridKeys) {
-        if (key == def.key) {
-            def.apply(value, opt, grid);
-            return;
-        }
-    }
-    std::string valid;
-    for (const GridKeyDef& def : kGridKeys)
-        valid += (valid.empty() ? "" : ", ") + std::string(def.key);
-    fatal("unknown grid key '", key, "'; valid keys: ", valid);
+    SweepSpec s = *this;
+    if (s.configs.empty())
+        s.configs = sweepConfigsFromList("", lanes);
+    if (s.seeds.empty())
+        s.seeds = {seed};
+    if (s.scales.empty())
+        s.scales = {scale};
+    if (quiet)
+        s.progress = "never";
+    return s;
 }
 
 void
 printGridKeys(std::ostream& os)
 {
-    os << "grid keys (`key = value` in grid files, `key=value` with "
-          "--set):\n";
-    for (const GridKeyDef& def : kGridKeys) {
-        os << "  " << def.key << " = <" << def.values << ">\n"
-           << "      " << def.help << "\n";
-    }
+    os << "grid keys: `key = value` in grid files, `key=value` with "
+          "--set,\n`--key value` as flags (switches take no value as "
+          "flags):\n"
+       << renderOptionKeys(/*sweep=*/true, /*fileForm=*/true);
 }
 
 void
-loadGridFile(const std::string& path, RunOptions& opt,
-             GridSettings& grid)
+loadGridFile(const std::string& path, GridSettings& grid)
 {
     std::ifstream in(path);
     if (!in)
@@ -265,43 +92,63 @@ loadGridFile(const std::string& path, RunOptions& opt,
                        ? std::string()
                        : s.substr(tb, te - tb + 1);
         };
-        applyGridKey(trim(line.substr(0, eq)),
-                     trim(line.substr(eq + 1)), opt, grid);
+        applyOptionKey(trim(line.substr(0, eq)),
+                       trim(line.substr(eq + 1)), grid);
     }
 }
 
-SweepSpec
-buildSweepSpec(const RunOptions& opt, const GridSettings& grid)
+namespace
 {
-    if (!opt.statsJsonPath.empty())
-        fatal("--stats-json writes one file, which every sweep point "
-              "would overwrite; use --bench-json DIR for per-run "
-              "dumps");
-    SweepSpec spec;
-    spec.workloads = opt.workloads.empty() ? workloadsFromList("")
-                                           : opt.workloads;
-    spec.configs = sweepConfigsFromList(grid.configs, grid.lanes);
-    spec.seeds = grid.seeds.empty()
-                     ? std::vector<std::uint64_t>{opt.seed}
-                     : grid.seeds;
-    spec.scales =
-        grid.scales.empty() ? std::vector<double>{opt.scale}
-                            : grid.scales;
-    spec.baseline = grid.baseline;
-    spec.jobs = opt.jobs;
-    spec.benchJsonDir = opt.benchJsonDir;
-    spec.tracePath = opt.tracePath;
-    spec.noFastForward = opt.noFastForward;
-    spec.timelineInterval = opt.timelineInterval;
-    spec.timelineSeries = opt.timelineSeries;
-    spec.hostProfile = opt.hostProfile;
-    spec.flightRecorder = opt.flightRecorder;
-    spec.steal = opt.steal;
-    spec.sched = opt.sched;
-    spec.schedSet = opt.schedSet;
-    spec.cacheDir = grid.cacheDir;
-    spec.cacheCapBytes = grid.cacheCapBytes;
-    return spec;
+
+std::string
+sweepUsage()
+{
+    return "usage: delta-sweep [options]\n"
+           "  --grid FILE\n"
+           "      apply a `key = value` grid file\n"
+           "  --set KEY=VALUE\n"
+           "      apply one grid-file setting inline\n"
+           "  --list-grid-keys\n"
+           "      print every key in grid-file form and exit\n"
+           "options (later settings win):\n" +
+           renderOptionKeys(/*sweep=*/true, /*fileForm=*/false);
+}
+
+} // namespace
+
+GridSettings
+parseSweepCommandLine(int argc, char** argv)
+{
+    GridSettings grid;
+    for (int i = 1; i < argc; ++i) {
+        if (consumeOptionArg(argc, argv, i, grid, /*sweep=*/true))
+            continue;
+        const std::string arg = argv[i];
+        const auto value = [&]() -> std::string {
+            if (i + 1 >= argc)
+                fatal("option '", arg, "' requires a value");
+            return argv[++i];
+        };
+        if (arg == "--grid") {
+            loadGridFile(value(), grid);
+        } else if (arg == "--set") {
+            const std::string kv = value();
+            const std::size_t eq = kv.find('=');
+            if (eq == std::string::npos || eq == 0)
+                fatal("--set expects KEY=VALUE, got '", kv, "'");
+            applyOptionKey(kv.substr(0, eq), kv.substr(eq + 1), grid);
+        } else if (arg == "--list-grid-keys") {
+            printGridKeys(std::cout);
+            std::exit(0);
+        } else if (arg == "--help" || arg == "-h") {
+            std::fputs(sweepUsage().c_str(), stdout);
+            std::exit(0);
+        } else {
+            fatal("unknown option '", arg, "'\n", sweepUsage());
+        }
+    }
+    grid.applyLogLevel();
+    return grid;
 }
 
 } // namespace driver

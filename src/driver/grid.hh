@@ -1,17 +1,19 @@
 /**
  * @file
- * Declarative grid settings for the delta-sweep CLI: the
- * `key = value` vocabulary of grid files and `--set` arguments, plus
- * the assembly of a SweepSpec from parsed settings.
+ * delta-sweep's settings: a SweepSpec plus the few settings only the
+ * CLI acts on, read from the command line, `--set key=value` and
+ * `key = value` grid files.
  *
- * One parser serves both entry points, so a grid file and the
- * equivalent `--set` arguments mean exactly the same sweep.
+ * All three spellings go through the one option table (options.hh),
+ * so a grid file and the equivalent flags mean exactly the same
+ * sweep.
  */
 
 #ifndef TS_DRIVER_GRID_HH
 #define TS_DRIVER_GRID_HH
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -23,72 +25,44 @@ namespace ts
 namespace driver
 {
 
-/** Everything a grid can configure besides the shared options. */
-struct GridSettings
+/** Everything delta-sweep reads: the sweep plus its CLI settings. */
+struct GridSettings : SweepSpec
 {
-    std::string configs;   ///< preset list ("" = static,delta)
-    std::vector<std::uint64_t> seeds;
-    std::vector<double> scales;
-    std::uint32_t lanes = 8;
-    std::string baseline;
-    std::string out;
-    bool quiet = false;
+    std::uint32_t lanes = 8; ///< lanes for every config
+    std::string out;         ///< aggregate report ("" = stdout)
+    bool quiet = false;      ///< no progress or run summaries
+    bool dryRun = false;     ///< expand + predict, no runs
 
-    std::string cacheDir;            ///< run cache ("" = off)
-    std::uint64_t cacheCapBytes = 0; ///< cache budget (0 = unbounded)
-    bool dryRun = false;             ///< expand + predict, no runs
+    /** seeds and scales start empty (they default to seed and scale)
+     *  and progress at the command-line default, auto. */
+    GridSettings();
+
+    /**
+     * The sweep these settings describe: empty configs, seeds and
+     * scales resolve to static,delta, {seed} and {scale}, and quiet
+     * turns progress off.
+     */
+    SweepSpec spec() const;
 };
 
 /** Split a comma-separated list, trimming surrounding whitespace and
  *  dropping empty entries. */
 std::vector<std::string> splitList(const std::string& list);
 
-/** Parse comma-separated non-negative integer seeds (fatal on bad
- *  or empty input). */
-std::vector<std::uint64_t> parseSeedList(const std::string& list);
-
-/** Parse comma-separated positive scales (fatal on bad or empty
- *  input). */
-std::vector<double> parseScaleList(const std::string& list);
-
-/** Parse a lane count in 1..62 (fatal otherwise). */
-std::uint32_t parseLanes(const std::string& s);
-
-/** Parse a byte count with optional K/M/G suffix (fatal on bad
- *  input). */
-std::uint64_t parseCapBytes(const std::string& s);
-
-/**
- * Apply one `key = value` grid setting.  Shared keys write into
- * @p opt, grid keys into @p grid; an unknown key is fatal listing
- * every valid one.  The same vocabulary backs grid files and
- * `delta-sweep --set`.
- */
-void applyGridKey(const std::string& key, const std::string& value,
-                  RunOptions& opt, GridSettings& grid);
-
-/**
- * Print the whole grid-key vocabulary — every key, the values it
- * accepts, and what it does — generated from the same table
- * applyGridKey dispatches on (so the listing can never go stale).
- * Backs `delta-sweep --list-grid-keys`.
- */
+/** Print every key of the option table in grid-file form, with the
+ *  values it accepts and what it does (`--list-grid-keys`). */
 void printGridKeys(std::ostream& os);
 
 /** Read a `key = value` grid file ('#' comments, blank lines ok). */
-void loadGridFile(const std::string& path, RunOptions& opt,
-                  GridSettings& grid);
+void loadGridFile(const std::string& path, GridSettings& grid);
 
 /**
- * Assemble the SweepSpec that @p opt and @p grid describe (empty
- * workload selection = the whole suite; progress is left off for the
- * caller to decide).  Fatal on invalid combinations, mirroring the
- * Sweep constructor's validation, and on --stats-json, whose single
- * file every point would overwrite (--bench-json DIR is the per-point
- * dump).
+ * Parse a delta-sweep command line in order, later settings winning:
+ * every table key as `--key V`, plus `--grid FILE`, `--set KEY=VALUE`,
+ * and `--list-grid-keys` / `--help`, which print and exit 0.  Fatal
+ * on anything else.  Applies the log level.
  */
-SweepSpec buildSweepSpec(const RunOptions& opt,
-                         const GridSettings& grid);
+GridSettings parseSweepCommandLine(int argc, char** argv);
 
 } // namespace driver
 } // namespace ts

@@ -8,8 +8,9 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <type_traits>
 
+#include "driver/grid.hh"
 #include "sim/logging.hh"
 
 namespace ts
@@ -33,74 +34,6 @@ suffixPath(const std::string& path, const std::string& tag)
     else
         out.insert(dot, insert);
     return out;
-}
-
-double
-parseScale(const std::string& s, const char* what)
-{
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0' || !(v > 0))
-        fatal(what, " must be a positive number, got '", s, "'");
-    return v;
-}
-
-std::uint64_t
-parseCount(const std::string& s, const char* what)
-{
-    std::uint64_t v = 0;
-    if (!parseUnsigned(s, v))
-        fatal(what, " must be a non-negative integer, got '", s, "'");
-    return v;
-}
-
-int
-parseLogLevel(const std::string& s, const char* what)
-{
-    char* end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || v < 0 || v > 2)
-        fatal(what, " must be 0, 1, or 2, got '", s, "'");
-    return static_cast<int>(v);
-}
-
-unsigned
-parseJobs(const std::string& s, const char* what)
-{
-    std::uint64_t v = 0;
-    if (!parseUnsigned(s, v) || v < 1 || v > UINT_MAX)
-        fatal(what, " must be a positive integer, got '", s, "'");
-    return static_cast<unsigned>(v);
-}
-
-std::string
-parseProgress(const std::string& s, const char* what)
-{
-    if (s != "auto" && s != "always" && s != "never")
-        fatal(what, " must be auto, always, or never, got '", s, "'");
-    return s;
-}
-
-StealPolicy
-parseSteal(const std::string& s, const char* what)
-{
-    StealPolicy p = StealPolicy::None;
-    if (!stealPolicyFromName(s, p))
-        fatal(what, " must be none, steal-one, or steal-half, got '",
-              s, "'");
-    return p;
-}
-
-SchedPolicy
-parseSched(const std::string& s, const char* what)
-{
-    SchedPolicy p = SchedPolicy::WorkAware;
-    if (!schedPolicyFromName(s, p))
-        fatal(what,
-              " must be static, dyncount, workaware, or spatial, "
-              "got '",
-              s, "'");
-    return p;
 }
 
 } // namespace
@@ -129,7 +62,7 @@ RunOptions::applyTo(DeltaConfig cfg) const
         cfg.policy = sched;
     if (cfg.timelineInterval == 0)
         cfg.timelineInterval = timelineInterval;
-    if (cfg.timelineSeries.empty())
+    if (cfg.timelineInterval > 0 && cfg.timelineSeries.empty())
         cfg.timelineSeries = timelineSeries;
     if (hostProfile)
         cfg.hostProfile = true;
@@ -181,105 +114,293 @@ parseUnsigned(const std::string& s, std::uint64_t& out, bool allowUnit)
     return true;
 }
 
-const char*
+namespace
+{
+
+using G = GridSettings;
+using V = const std::string&;
+
+// Setters for the common option shapes, by member.
+template <auto F>
+bool
+text(V v, G& g)
+{
+    g.*F = v;
+    return true;
+}
+
+template <auto F>
+bool
+onOff(V v, G& g)
+{
+    g.*F = v == "1";
+    return v == "0" || v == "1";
+}
+
+bool
+parsePositive(V s, double& out)
+{
+    char* end = nullptr;
+    out = std::strtod(s.c_str(), &end);
+    return end != s.c_str() && *end == '\0' && out > 0;
+}
+
+/** Parse a non-empty comma list, entry by entry, into @p out. */
+template <class T>
+bool
+parseList(V v, std::vector<T>& out, bool (*one)(V, T&))
+{
+    out.clear();
+    for (const std::string& s : splitList(v)) {
+        out.emplace_back();
+        if (!one(s, out.back()))
+            return false;
+    }
+    return !out.empty();
+}
+
+template <auto F>
+bool
+count(V v, G& g)
+{
+    std::uint64_t n = 0;
+    if (!parseUnsigned(v, n))
+        return false;
+    g.*F = static_cast<std::remove_reference_t<decltype(g.*F)>>(n);
+    return true;
+}
+
+const std::vector<OptionKey> kOptionKeys = {
+    {"workloads", "comma list of workloads, or all",
+     "workloads to run: a sweep's workload axis (default: the whole "
+     "suite)",
+     false, false,
+     [](V v, G& g) {
+         g.workloads = workloadsFromList(v);
+         return true;
+     }},
+    {"configs",
+     "comma list of static, dyn, work, work-steal, pipe, delta, "
+     "spatial",
+     "accelerator-config axis (default: static,delta)", false, true,
+     [](V v, G& g) {
+         g.configs = sweepConfigsFromList(v, g.lanes);
+         return true;
+     }},
+    {"seed", "non-negative integer", "base RNG seed", false, false,
+     count<&G::seed>},
+    {"seeds", "comma list of non-negative integers",
+     "RNG-seed axis (default: seed)", false, true,
+     [](V v, G& g) {
+         return parseList<std::uint64_t>(
+             v, g.seeds, [](V s, std::uint64_t& x) {
+                 return parseUnsigned(s, x);
+             });
+     }},
+    {"scale", "positive number", "problem-size multiplier", false, false,
+     [](V v, G& g) { return parsePositive(v, g.scale); }},
+    {"scales", "comma list of positive numbers",
+     "problem-size axis (default: scale)", false, true,
+     [](V v, G& g) { return parseList(v, g.scales, parsePositive); }},
+    {"lanes", "integer in 1..62", "lanes for every config (default 8)",
+     false, true,
+     [](V v, G& g) {
+         std::uint64_t n = 0;
+         if (!parseUnsigned(v, n) || n < 1 || n > 62)
+             return false;
+         g.lanes = static_cast<std::uint32_t>(n);
+         for (ConfigVariant& c : g.configs)
+             c = sweepConfig(c.name, g.lanes);
+         return true;
+     }},
+    {"baseline", "a name from configs",
+     "config paired speedups are measured against (default: the "
+     "first)",
+     false, true, text<&G::baseline>},
+    {"steal", "none|steal-one|steal-half",
+     "NoC work stealing for configs whose preset leaves it off "
+     "(cache-key relevant)",
+     false, false,
+     [](V v, G& g) { return stealPolicyFromName(v, g.steal); }},
+    {"sched", "static|dyncount|workaware|spatial",
+     "scheduling-policy override for every config (cache-key "
+     "relevant)",
+     false, false,
+     [](V v, G& g) {
+         g.schedSet = true;
+         return schedPolicyFromName(v, g.sched);
+     }},
+    {"no-fast-forward", "0|1",
+     "naive per-cycle ticking (bit-identical reference mode)", true,
+     false, onOff<&G::noFastForward>},
+    {"timeline", "cycles, 0 = off",
+     "sample a delta.timeline.* time series at this interval", false,
+     false, count<&G::timelineInterval>},
+    {"timeline-series", "subset of lanes,ready,noc,dram",
+     "timeline probe groups (default: all)", false, false,
+     text<&G::timelineSeries>},
+    {"host-profile", "0|1",
+     "attribute host wall time per component class and phase "
+     "(sim.host.profile.*)",
+     true, false, onOff<&G::hostProfile>},
+    {"flight-recorder", "records, 0 = off",
+     "keep a ring of the last sleep/wake/commit/event records, "
+     "dumped on deadlock",
+     false, false, count<&G::flightRecorder>},
+    {"trace", "path",
+     "Perfetto trace output (a sweep writes one per point)", false,
+     false, text<&G::tracePath>},
+    {"stats-json", "path",
+     "flat StatSet JSON dump of a single run (a sweep refuses it)",
+     false, false, text<&G::statsJsonPath>},
+    {"bench-json", "directory", "per-run bench-JSON wrapper dumps",
+     false, false, text<&G::benchJsonDir>},
+    {"out", "path", "aggregate JSON report (default: stdout)", false,
+     true, text<&G::out>},
+    {"cache", "directory",
+     "content-addressed run cache: consult before running, publish "
+     "after",
+     false, true, text<&G::cacheDir>},
+    {"cache-cap", "BYTES[K|M|G]", "run-cache size budget", false, true,
+     [](V v, G& g) {
+         return parseUnsigned(v, g.cacheCapBytes, /*allowUnit=*/true);
+     }},
+    {"dry-run", "0|1",
+     "print each point's tag, cache key and predicted hit/miss; run "
+     "nothing",
+     true, true, onOff<&G::dryRun>},
+    {"log", "0|1|2", "stderr verbosity", false, false,
+     [](V v, G& g) {
+         g.logLevel = v[0] - '0';
+         return v == "0" || v == "1" || v == "2";
+     }},
+    {"progress", "auto|always|never",
+     "sweep progress lines (auto: only when stderr is a TTY)", false,
+     false,
+     [](V v, G& g) {
+         g.progress = v;
+         return v == "auto" || v == "always" || v == "never";
+     }},
+    {"quiet", "0|1",
+     "no progress, run-count or dry-run summary lines on stderr", true,
+     true, onOff<&G::quiet>},
+    {"jobs", "positive integer",
+     "host worker threads, also -j N (default: hardware concurrency)",
+     false, false,
+     [](V v, G& g) {
+         std::uint64_t n = 0;
+         if (!parseUnsigned(v, n) || n < 1 || n > UINT_MAX)
+             return false;
+         g.jobs = static_cast<unsigned>(n);
+         return true;
+     }},
+};
+
+const OptionKey*
+findOptionKey(const std::string& key)
+{
+    for (const OptionKey& k : kOptionKeys) {
+        if (key == k.key)
+            return &k;
+    }
+    return nullptr;
+}
+
+void
+applyKey(const OptionKey& k, const std::string& value, GridSettings& g)
+{
+    if (!k.set(value, g))
+        fatal("option '", k.key, "' expects ", k.values, ", got '",
+              value, "'");
+}
+
+} // namespace
+
+const std::vector<OptionKey>&
+optionKeys()
+{
+    return kOptionKeys;
+}
+
+void
+applyOptionKey(const std::string& key, const std::string& value,
+               GridSettings& g)
+{
+    const OptionKey* k = findOptionKey(key);
+    if (k == nullptr) {
+        std::string valid;
+        for (const OptionKey& def : kOptionKeys)
+            valid += (valid.empty() ? "" : ", ") + std::string(def.key);
+        fatal("unknown key '", key, "'; valid keys: ", valid);
+    }
+    applyKey(*k, value, g);
+}
+
+bool
+consumeOptionArg(int argc, char** argv, int& i, GridSettings& g,
+                 bool sweep)
+{
+    std::string arg = argv[i];
+    if (arg == "-j")
+        arg = "--jobs";
+    if (arg.rfind("--", 0) != 0)
+        return false;
+    const std::size_t eq = arg.find('=');
+    const OptionKey* k = findOptionKey(
+        arg.substr(2, eq == std::string::npos ? eq : eq - 2));
+    if (k == nullptr || (k->sweepOnly && !sweep))
+        return false;
+    std::string value = "1";
+    if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+    } else if (!k->isSwitch) {
+        if (i + 1 >= argc)
+            fatal("option '--", k->key, "' requires a value");
+        value = argv[++i];
+    }
+    applyKey(*k, value, g);
+    return true;
+}
+
+std::string
+renderOptionKeys(bool sweep, bool fileForm)
+{
+    std::string out;
+    for (const OptionKey& k : kOptionKeys) {
+        if (k.sweepOnly && !sweep)
+            continue;
+        out += std::string("  ") + (fileForm ? "" : "--") + k.key;
+        if (fileForm)
+            out += std::string(" = <") + k.values + ">";
+        else if (!k.isSwitch)
+            out += std::string(" <") + k.values + ">";
+        out += std::string("\n      ") + k.help + "\n";
+    }
+    return out;
+}
+
+std::string
 optionsHelp()
 {
-    return
-        "shared run options:\n"
-        "  --workloads LIST   comma-separated workloads, 'all' = suite\n"
-        "  --scale X          problem-size multiplier, > 0\n"
-        "  --seed N           base RNG seed\n"
-        "  --trace PATH       Perfetto trace output\n"
-        "  --stats-json PATH  flat StatSet JSON dump\n"
-        "  --bench-json DIR   per-run wrapper dumps\n"
-        "  --log N            stderr verbosity 0|1|2\n"
-        "  --no-fast-forward  naive per-cycle ticking (bit-identical\n"
-        "                     reference mode)\n"
-        "  --steal P          lane work stealing over the NoC:\n"
-        "                     none|steal-one|steal-half (behaviour-\n"
-        "                     relevant: part of run-cache keys)\n"
-        "  --sched P          scheduling policy override:\n"
-        "                     static|dyncount|workaware|spatial\n"
-        "                     (behaviour-relevant: part of run-cache\n"
-        "                     keys)\n"
-        "  --progress[=]MODE  sweep progress lines: auto|always|never\n"
-        "                     (auto = only when stderr is a TTY)\n"
-        "  --timeline N       sample a delta.timeline.* time series\n"
-        "                     every N simulated cycles (0 = off)\n"
-        "  --timeline-series LIST\n"
-        "                     probe-group subset out of\n"
-        "                     lanes,ready,noc,dram (default: all)\n"
-        "  --host-profile     attribute host wall time per component\n"
-        "                     class and phase (sim.host.profile.*)\n"
-        "  --flight-recorder N\n"
-        "                     keep a ring of the last N sleep/wake/\n"
-        "                     commit/event records, dumped on\n"
-        "                     deadlock (0 = off)\n"
-        "  -j N, --jobs N     host worker threads (default: hardware\n"
-        "                     concurrency)\n";
+    return "shared run options:\n" + renderOptionKeys(false, false);
 }
 
 RunOptions
 parseCommandLine(int& argc, char** argv, bool strict)
 {
-    RunOptions opt;
+    GridSettings g;
 
     std::vector<char*> keep;
     keep.reserve(static_cast<std::size_t>(argc));
     if (argc > 0)
         keep.push_back(argv[0]);
 
-    int i = 1;
-    const auto value = [&](const char* flag) -> std::string {
-        if (i + 1 >= argc)
-            fatal("option '", flag, "' requires a value\n",
-                  optionsHelp());
-        return argv[++i];
-    };
-
-    for (; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) {
+        if (consumeOptionArg(argc, argv, i, g, /*sweep=*/false))
+            continue;
         const std::string arg = argv[i];
-        if (arg == "--workloads") {
-            opt.workloads = workloadsFromList(value("--workloads"));
-        } else if (arg == "--scale") {
-            opt.scale = parseScale(value("--scale"), "--scale");
-        } else if (arg == "--seed") {
-            opt.seed = parseCount(value("--seed"), "--seed");
-        } else if (arg == "--log") {
-            opt.logLevel = parseLogLevel(value("--log"), "--log");
-        } else if (arg == "--trace") {
-            opt.tracePath = value("--trace");
-        } else if (arg == "--stats-json") {
-            opt.statsJsonPath = value("--stats-json");
-        } else if (arg == "--bench-json") {
-            opt.benchJsonDir = value("--bench-json");
-        } else if (arg == "--no-fast-forward") {
-            opt.noFastForward = true;
-        } else if (arg == "--steal") {
-            opt.steal = parseSteal(value("--steal"), "--steal");
-        } else if (arg == "--sched") {
-            opt.sched = parseSched(value("--sched"), "--sched");
-            opt.schedSet = true;
-        } else if (arg == "--progress") {
-            opt.progress =
-                parseProgress(value("--progress"), "--progress");
-        } else if (arg.rfind("--progress=", 0) == 0) {
-            opt.progress = parseProgress(
-                arg.substr(std::strlen("--progress=")), "--progress");
-        } else if (arg == "--timeline") {
-            opt.timelineInterval =
-                parseCount(value("--timeline"), "--timeline");
-        } else if (arg == "--timeline-series") {
-            opt.timelineSeries = value("--timeline-series");
-        } else if (arg == "--host-profile") {
-            opt.hostProfile = true;
-        } else if (arg == "--flight-recorder") {
-            opt.flightRecorder = static_cast<std::size_t>(parseCount(
-                value("--flight-recorder"), "--flight-recorder"));
-        } else if (arg == "-j" || arg == "--jobs") {
-            opt.jobs = parseJobs(value("--jobs"), "--jobs");
-        } else if (strict && (arg == "--help" || arg == "-h")) {
-            std::fputs(optionsHelp(), stdout);
+        if (strict && (arg == "--help" || arg == "-h")) {
+            std::fputs(optionsHelp().c_str(), stdout);
             std::exit(0);
         } else if (strict && !arg.empty() && arg[0] == '-') {
             fatal("unknown option '", arg, "'\n", optionsHelp());
@@ -294,8 +415,8 @@ parseCommandLine(int& argc, char** argv, bool strict)
     if (argc >= 0)
         argv[argc] = nullptr;
 
-    opt.applyLogLevel();
-    return opt;
+    g.applyLogLevel();
+    return RunOptions(g);
 }
 
 RunOptions

@@ -4,23 +4,16 @@
  * shared by every binary in the tree (benches, tools, examples).
  *
  * Design rule: **nothing reads the environment.**  Binaries parse
- * the shared command-line flags below, and those flags are the only
- * way to set these options; no std::getenv() call exists in the
- * tree.
+ * the shared command-line flags, and those flags are the only way to
+ * set these options; no std::getenv() call exists in the tree.
  *
- *   --workloads LIST        comma-separated subset ("all" = suite)
- *   --scale X               problem-size multiplier
- *   --seed N                base RNG seed
- *   --trace PATH            Perfetto trace output
- *   --stats-json PATH       flat StatSet dump
- *   --bench-json DIR        per-run wrapper dumps
- *   --log N                 stderr verbosity 0|1|2
- *   --no-fast-forward       naive per-cycle ticking
- *   --steal P               lane work stealing
- *                           (none|steal-one|steal-half)
- *   --sched P               scheduling policy
- *                           (static|dyncount|workaware|spatial)
- *   -j N / --jobs N         host worker threads
+ * Every option is declared once, in the key table behind
+ * optionKeys(): its key, accepted values, help text, and setter.
+ * `--key V` on any command line, `--set key=V` and `key = V` in a
+ * delta-sweep grid file all parse through that table, and every help
+ * listing (optionsHelp(), delta-sweep's usage and --list-grid-keys)
+ * is generated from it.  Keys marked sweepOnly (the grid axes and
+ * delta-sweep's own outputs) are taken by delta-sweep only.
  *
  * parseCommandLine() erases the flags it consumed from argv, so
  * google-benchmark binaries can hand the remainder to
@@ -115,17 +108,65 @@ struct RunOptions
     SuiteParams suiteParams() const;
 
     /**
-     * Inject this run's output options into an accelerator config:
-     * sets cfg.statsJsonPath, and when tracing is requested installs
-     * a per-instance trace path (the second and later accelerator
-     * instances in one process get a ".N" suffix before the
-     * extension, so traces never overwrite each other).
+     * Apply these options to an accelerator config: the one place a
+     * run-wide override meets a preset (runOne and every sweep point
+     * go through it).  Sets cfg.statsJsonPath, and when tracing is
+     * requested and cfg has no tracer yet installs a per-instance
+     * trace path (the second and later accelerator instances in one
+     * process get a ".N" suffix before the extension, so traces never
+     * overwrite each other).  steal, timelineInterval and
+     * flightRecorder fill only what cfg leaves off; sched replaces
+     * cfg.policy when schedSet.  timelineSeries is carried only when
+     * the resulting timeline is on, so a bare --timeline-series
+     * leaves canonicalConfig (and every cache key) alone.
      */
     DeltaConfig applyTo(DeltaConfig cfg) const;
 
     /** Apply logLevel to the process-wide logger (setLogVerbosity). */
     void applyLogLevel() const;
 };
+
+struct GridSettings; // driver/grid.hh
+
+/** One entry of the option table. */
+struct OptionKey
+{
+    const char* key;    ///< `--key` on a command line, `key` in a file
+    const char* values; ///< accepted values (help and error text)
+    const char* help;   ///< one-line meaning
+    /** Takes no value on a command line (`--key` means 1) and 0|1
+     *  in a file or after `--key=`. */
+    bool isSwitch;
+    /** A grid axis or delta-sweep output: parseCommandLine leaves
+     *  it alone. */
+    bool sweepOnly;
+    /** Store @p value; false when it is malformed (the caller then
+     *  fails naming the key and #values). */
+    bool (*set)(const std::string& value, GridSettings& g);
+};
+
+/** The option table, in help order. */
+const std::vector<OptionKey>& optionKeys();
+
+/** Set option @p key to @p value (`--set` and grid files); fatal
+ *  on a malformed value or an unknown key, listing the valid ones. */
+void applyOptionKey(const std::string& key, const std::string& value,
+                    GridSettings& g);
+
+/**
+ * When argv[i] names a table key (`--key`, `--key=V`, or `-j`),
+ * apply it and its value to @p g, advance @p i past the value, and
+ * return true.  Sweep-only keys count only when @p sweep is set.
+ */
+bool consumeOptionArg(int argc, char** argv, int& i, GridSettings& g,
+                      bool sweep);
+
+/**
+ * The table rendered as help text: `--key <values>` per entry (or
+ * `key = <values>` with @p fileForm), each followed by its help
+ * line.  Sweep-only keys are listed only when @p sweep is set.
+ */
+std::string renderOptionKeys(bool sweep, bool fileForm);
 
 /**
  * Parse the shared flags out of argv (argv[0] is preserved).
@@ -141,7 +182,7 @@ RunOptions parseCommandLine(int& argc, char** argv,
                             bool strict = false);
 
 /** One-screen reference for the shared flags (ends with '\n'). */
-const char* optionsHelp();
+std::string optionsHelp();
 
 /**
  * Parse a non-negative decimal integer into @p out.  With
@@ -149,7 +190,7 @@ const char* optionsHelp();
  * 2^10, 2^20, or 2^30.  Returns false, leaving @p out untouched, on
  * anything but leading digits (so no sign or whitespace), trailing
  * characters, or a value or product that overflows 64 bits.  Every
- * unsigned flag, grid key, and list entry parses through this.
+ * unsigned option and list entry parses through this.
  */
 bool parseUnsigned(const std::string& s, std::uint64_t& out,
                    bool allowUnit = false);

@@ -47,12 +47,12 @@ emitBenchJson(const RunOptions& opt, const std::string& tag,
     os << "}\n";
 }
 
-} // namespace
-
+/** Execute @p spec, whose cfg already has @p opt applied, so the
+ *  wrapper records the config that actually ran. */
 RunResult
-runOne(const RunOptions& opt, const RunSpec& spec)
+runApplied(const RunOptions& opt, const RunSpec& spec)
 {
-    Delta delta(opt.applyTo(spec.cfg));
+    Delta delta(spec.cfg);
     TaskGraph graph;
     spec.build(delta, graph);
 
@@ -66,18 +66,28 @@ runOne(const RunOptions& opt, const RunSpec& spec)
     return r;
 }
 
+} // namespace
+
+RunResult
+runOne(const RunOptions& opt, const RunSpec& spec)
+{
+    RunSpec applied = spec;
+    applied.cfg = opt.applyTo(spec.cfg);
+    return runApplied(opt, applied);
+}
+
 RunResult
 runOne(const RunOptions& opt, Workload& wl, DeltaConfig cfg)
 {
     RunSpec spec;
-    spec.cfg = cfg;
+    spec.cfg = opt.applyTo(cfg);
     spec.build = [&wl](Delta& d, TaskGraph& g) { wl.build(d, g); };
     spec.check = [&wl](Delta& d) { return wl.check(d.image()); };
     spec.tag = wl.name() + "_" +
-               std::string(schedPolicyName(cfg.policy)) + "_l" +
-               std::to_string(cfg.lanes);
+               std::string(schedPolicyName(spec.cfg.policy)) + "_l" +
+               std::to_string(spec.cfg.lanes);
     spec.name = wl.name();
-    return runOne(opt, spec);
+    return runApplied(opt, spec);
 }
 
 RunResult

@@ -19,8 +19,9 @@
  *
  * All of them inject the options' outputs (trace, stats-json,
  * bench-json, timeline, ...) via RunOptions::applyTo, and write the
- * bench-JSON wrapper to opt.benchJsonDir when set — callers never
- * touch StatSet serialization themselves.
+ * bench-JSON wrapper to opt.benchJsonDir when set, describing the
+ * config after applyTo — callers never touch StatSet serialization
+ * themselves.
  */
 
 #ifndef TS_DRIVER_RUN_ONE_HH

@@ -189,40 +189,20 @@ canonicalConfig(const DeltaConfig& cfg)
 namespace
 {
 
-/** The DeltaConfig a point runs under, mirroring exactly what
- *  executePoint builds (minus trace wiring, which bypasses the
- *  cache). */
+/** The DeltaConfig a point runs under: its preset, traced to the
+ *  point's tagged path when tracing, with the spec's run-wide
+ *  options applied.  Cache keys and execution both derive it here. */
 DeltaConfig
-resolvePointConfig(const SweepSpec& spec, const RunPoint& point)
+pointConfig(const SweepSpec& spec, const RunPoint& point)
 {
     DeltaConfig cfg;
     for (const ConfigVariant& c : spec.configs) {
         if (c.name == point.config)
             cfg = c.cfg;
     }
-    if (spec.noFastForward)
-        cfg.noFastForward = true;
-    if (spec.timelineInterval > 0) {
-        cfg.timelineInterval = spec.timelineInterval;
-        cfg.timelineMaxSamples = spec.timelineMaxSamples;
-        cfg.timelineSeries = spec.timelineSeries;
-    }
-    // Host-side only: they change sim.host.* output or a failed
-    // point's error text but never simulated results, so they stay
-    // out of canonicalConfig/cache keys.
-    if (spec.hostProfile)
-        cfg.hostProfile = true;
-    if (spec.flightRecorder > 0)
-        cfg.flightRecorder = spec.flightRecorder;
-    // Behaviour-relevant: canonicalConfig covers cfg.steal, so a
-    // spec-level override changes every point's cache key.
-    if (cfg.steal == StealPolicy::None)
-        cfg.steal = spec.steal;
-    // Same for the scheduling policy (canonicalConfig covers
-    // cfg.policy).
-    if (spec.schedSet)
-        cfg.policy = spec.sched;
-    return cfg;
+    if (!spec.tracePath.empty())
+        cfg.trace = traceConfigTagged(spec.tracePath, point.tag());
+    return spec.applyTo(cfg);
 }
 
 } // namespace
@@ -244,7 +224,7 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     os << "v6 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
-       << canonicalConfig(resolvePointConfig(spec, point));
+       << canonicalConfig(pointConfig(spec, point));
     return os.str();
 }
 
@@ -262,6 +242,10 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
         if (!(s > 0))
             fatal("sweep: scales must be positive, got ", s);
     }
+    if (!spec_.statsJsonPath.empty())
+        fatal("--stats-json writes one file, which every sweep point "
+              "would overwrite; use --bench-json DIR for per-run "
+              "dumps");
     if (!spec_.benchJsonDir.empty() &&
         !std::filesystem::is_directory(spec_.benchJsonDir))
         fatal("sweep: --bench-json directory '", spec_.benchJsonDir,
@@ -405,17 +389,14 @@ executePoint(const SweepSpec& spec, const RunPoint& point,
     }
 
     try {
-        DeltaConfig cfg = resolvePointConfig(spec, point);
-        if (!spec.tracePath.empty())
-            cfg.trace = traceConfigTagged(spec.tracePath, point.tag());
-
         // Beyond seed and scale, default options change nothing in
-        // cfg and write no files: the sweep's own outputs are the
-        // report and benchWrapperJson.
+        // the already-applied config and write no files: the sweep's
+        // own outputs are the report and benchWrapperJson.
         RunOptions opt;
         opt.seed = point.seed;
         opt.scale = point.scale;
-        RunResult r = runOne(opt, point.workload, cfg);
+        RunResult r =
+            runOne(opt, point.workload, pointConfig(spec, point));
         out.stats = std::move(r.stats);
         out.cycles = r.cycles;
         out.correct = r.correct;
@@ -485,6 +466,7 @@ Sweep::run()
     }
 
     const auto start = std::chrono::steady_clock::now();
+    const bool progress = spec_.progressEnabled();
     std::mutex ioMutex;
     std::size_t done = 0;
     std::uint64_t hits = 0, misses = 0;
@@ -503,7 +485,7 @@ Sweep::run()
             ++done;
             if (cache != nullptr)
                 ++(fromCache ? hits : misses);
-            if (spec_.progress) {
+            if (progress) {
                 const double elapsed =
                     std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - start)

@@ -73,10 +73,25 @@ sweepConfigsFromList(const std::string& list, std::uint32_t lanes = 8);
 struct RunOutcome;
 struct RunPoint;
 
-/** The declarative grid: the cross product of the four axes. */
-struct SweepSpec
+/**
+ * The declarative grid: the cross product of the four axes, plus the
+ * run-wide RunOptions every point applies to its preset (steal,
+ * sched, timeline, hostProfile, flightRecorder, noFastForward, ...;
+ * see pointConfig in sweep.cc).  Of the inherited fields, workloads
+ * is the workload axis, jobs the worker-thread count (0 = hardware
+ * concurrency), benchJsonDir an existing directory for one
+ * `<tag>.json` bench-JSON wrapper per run, tracePath the base of one
+ * `<base>.<tag>.json` Perfetto trace per point, and progress the
+ * progress/ETA lines on stderr; seed, scale and statsJsonPath are
+ * not used (the seeds and scales axes replace the first two, and the
+ * engine refuses the third, whose one file every point would
+ * overwrite).
+ */
+struct SweepSpec : RunOptions
 {
-    std::vector<Wk> workloads;           ///< must be non-empty
+    /** Library sweeps print no progress lines unless asked. */
+    SweepSpec() { progress = "never"; }
+
     std::vector<ConfigVariant> configs;  ///< must be non-empty
     std::vector<std::uint64_t> seeds{7};
     std::vector<double> scales{1.0};
@@ -84,60 +99,6 @@ struct SweepSpec
     /** Config paired speedups are measured against ("" = the first
      *  config when more than one, else no speedups). */
     std::string baseline;
-
-    /** Worker threads (0 = hardware concurrency). */
-    unsigned jobs = 0;
-
-    /** When non-empty, each run writes its StatSet in the bench-JSON
-     *  wrapper shape to `<dir>/<tag>.json` (delta-report ingestible,
-     *  deterministic names).  The directory must exist. */
-    std::string benchJsonDir;
-
-    /** When non-empty, each run writes a Perfetto trace to
-     *  `<base>.<tag>.json`-style deterministic per-point paths. */
-    std::string tracePath;
-
-    /** Progress/ETA lines on stderr as runs retire. */
-    bool progress = false;
-
-    /** Run every point with naive per-cycle ticking instead of the
-     *  activity-driven core (bit-identical; for differential checks
-     *  and host-throughput comparison). */
-    bool noFastForward = false;
-
-    /** Sample a delta.timeline.* time series in every run at this
-     *  interval (0 = off).  Cache-key relevant: it changes the
-     *  emitted stats, so it participates in canonicalConfig. */
-    Tick timelineInterval = 0;
-
-    /** Timeline sample cap (see DeltaConfig::timelineMaxSamples). */
-    std::size_t timelineMaxSamples = 512;
-
-    /** Timeline probe-group subset (empty = all). */
-    std::string timelineSeries;
-
-    /** Attribute host wall time per component class and phase
-     *  (sim.host.profile.*).  Host-side only: never cache-key
-     *  relevant, and excluded from byte-compared dumps. */
-    bool hostProfile = false;
-
-    /** Flight-recorder ring capacity per run (0 = off); a run that
-     *  deadlocks dumps its ring into the point's error.  Host-side
-     *  only, like hostProfile. */
-    std::size_t flightRecorder = 0;
-
-    /** Work-stealing override applied to every config whose preset
-     *  left stealing off.  Behaviour-relevant (unlike hostProfile): the
-     *  resolved policy lands in canonicalConfig and so in every
-     *  point's cache key. */
-    StealPolicy steal = StealPolicy::None;
-
-    /** Scheduling-policy override applied to every config when
-     *  schedSet (presets keep their own policy otherwise).
-     *  Behaviour-relevant like steal: the resolved policy lands in
-     *  canonicalConfig and so in every point's cache key. */
-    SchedPolicy sched = SchedPolicy::WorkAware;
-    bool schedSet = false; ///< sched override was requested
 
     /**
      * When non-empty, consult a content-addressed run cache rooted
@@ -259,8 +220,8 @@ struct SweepReport
 };
 
 /** The engine.  Validates the spec on construction (fatal on an
- *  empty axis, an unknown baseline name, or a missing benchJsonDir
- *  directory). */
+ *  empty axis, an unknown baseline name, a missing benchJsonDir
+ *  directory, or a statsJsonPath). */
 class Sweep
 {
   public:

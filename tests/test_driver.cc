@@ -11,6 +11,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +23,7 @@
 #include "analysis/report.hh"
 #include "driver/grid.hh"
 #include "driver/options.hh"
+#include "driver/run_one.hh"
 #include "driver/sweep.hh"
 #include "sim/logging.hh"
 
@@ -119,16 +124,16 @@ TEST(RunOptionsTest, BadFlagValueFailsFast)
     EXPECT_EQ(parse({"--seed", "18446744073709551615"}).seed,
               18446744073709551615ull);
 
-    EXPECT_THROW(parseSeedList("1,-3"), FatalError);
-    EXPECT_THROW(parseCapBytes("-1"), FatalError);
-    EXPECT_THROW(parseCapBytes("99999999999G"), FatalError);
-    EXPECT_EQ(parseCapBytes("2G"), 2ull << 30);
-
-    RunOptions opt;
     GridSettings grid;
-    EXPECT_THROW(applyGridKey("timeline", "-1", opt, grid), FatalError);
-    EXPECT_THROW(applyGridKey("jobs", "-2", opt, grid), FatalError);
-    EXPECT_EQ(opt.timelineInterval, 0u);
+    EXPECT_THROW(applyOptionKey("seeds", "1,-3", grid), FatalError);
+    EXPECT_THROW(applyOptionKey("cache-cap", "-1", grid), FatalError);
+    EXPECT_THROW(applyOptionKey("cache-cap", "99999999999G", grid),
+                 FatalError);
+    applyOptionKey("cache-cap", "2G", grid);
+    EXPECT_EQ(grid.cacheCapBytes, 2ull << 30);
+    EXPECT_THROW(applyOptionKey("timeline", "-1", grid), FatalError);
+    EXPECT_THROW(applyOptionKey("jobs", "-2", grid), FatalError);
+    EXPECT_EQ(grid.timelineInterval, 0u);
 }
 
 TEST(RunOptionsTest, ParseUnsignedRejectsSignAndOverflow)
@@ -361,10 +366,10 @@ TEST(SweepTest, StatsJsonIsRejectedNamingBenchJson)
     // One --stats-json file cannot hold a grid: every point would
     // overwrite it.  The sweep refuses it and names the per-point
     // alternative.
-    Argv a({"delta-sweep", "--stats-json", "stats.json"});
-    const RunOptions opt = parseCommandLine(a.argc, a.argv());
+    SweepSpec spec = smallSpec();
+    spec.statsJsonPath = "stats.json";
     try {
-        (void)buildSweepSpec(opt, GridSettings{});
+        (void)Sweep(spec);
         ADD_FAILURE() << "--stats-json was accepted by a sweep";
     } catch (const FatalError& e) {
         EXPECT_NE(std::string(e.what()).find("--bench-json DIR"),
@@ -378,11 +383,8 @@ TEST(SweepTest, FlightRecorderFlagReachesEveryPoint)
     // --flight-recorder N arms every point's ring, so a point that
     // overruns its cycle budget dumps its last records in the error.
     Argv a({"delta-sweep", "--workloads", "spmv", "--scale", "0.25",
-            "--flight-recorder", "64"});
-    const RunOptions opt = parseCommandLine(a.argc, a.argv());
-    GridSettings grid;
-    grid.configs = "delta";
-    SweepSpec spec = buildSweepSpec(opt, grid);
+            "--configs", "delta", "--flight-recorder", "64"});
+    SweepSpec spec = parseSweepCommandLine(a.argc, a.argv()).spec();
     spec.configs.front().cfg.maxCycles = 10;
     spec.jobs = 1;
 
@@ -392,6 +394,181 @@ TEST(SweepTest, FlightRecorderFlagReachesEveryPoint)
     EXPECT_NE(report.runs[0].error.find("flight recorder"),
               std::string::npos)
         << report.runs[0].error;
+}
+
+namespace
+{
+
+/** Everything a parsed delta-sweep command line decides: every
+ *  point's canonical cell (or the engine's refusal) and every
+ *  setting outside the cell. */
+std::string
+describeSweep(const GridSettings& g)
+{
+    std::ostringstream os;
+    const SweepSpec spec = g.spec();
+    try {
+        const Sweep sweep(spec);
+        for (const RunPoint& p : sweep.points())
+            os << p.tag() << " " << canonicalCell(spec, p) << "\n";
+    } catch (const FatalError& e) {
+        os << "refused: " << e.what() << "\n";
+    }
+    os << "jobs=" << g.jobs << " log=" << g.logLevel
+       << " progress=" << spec.progress << " trace=" << g.tracePath
+       << " stats=" << g.statsJsonPath << " bench=" << g.benchJsonDir
+       << " hostProfile=" << g.hostProfile
+       << " flightRecorder=" << g.flightRecorder
+       << " series=" << g.timelineSeries << " out=" << g.out
+       << " quiet=" << g.quiet << " dryRun=" << g.dryRun
+       << " cache=" << g.cacheDir << "/" << g.cacheCapBytes
+       << " baseline=" << spec.baselineName();
+    return os.str();
+}
+
+GridSettings
+parseSweep(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "delta-sweep");
+    Argv a(std::move(args));
+    return parseSweepCommandLine(a.argc, a.argv());
+}
+
+} // namespace
+
+TEST(OptionTableTest, FlagSetAndGridFileMeanTheSameSweep)
+{
+    // One sample value per key; a key added to the table without one
+    // fails here rather than going untested.
+    const std::string dir = testing::TempDir();
+    const std::map<std::string, std::string> samples = {
+        {"workloads", "spmv,msort"}, {"configs", "dyn,spatial"},
+        {"seed", "3"}, {"seeds", "5,9"}, {"scale", "0.5"},
+        {"scales", "0.25,2"}, {"lanes", "4"}, {"baseline", "delta"},
+        {"steal", "steal-one"}, {"sched", "dyncount"},
+        {"no-fast-forward", "1"}, {"timeline", "500"},
+        {"timeline-series", "lanes,noc"}, {"host-profile", "1"},
+        {"flight-recorder", "8"}, {"trace", "t.json"},
+        {"stats-json", "s.json"}, {"bench-json", dir},
+        {"out", "o.json"}, {"cache", "c"}, {"cache-cap", "2M"},
+        {"dry-run", "1"}, {"log", "2"}, {"progress", "always"},
+        {"quiet", "1"}, {"jobs", "3"}};
+    const std::vector<std::string> base = {
+        "--workloads", "spmv", "--configs", "static,delta",
+        "--scale", "0.25"};
+    const std::string plain = describeSweep(parseSweep(base));
+
+    for (const OptionKey& k : optionKeys()) {
+        SCOPED_TRACE(k.key);
+        const auto it = samples.find(k.key);
+        ASSERT_NE(it, samples.end()) << "no sample value for the key";
+        const std::string& v = it->second;
+
+        std::vector<std::string> flag = base;
+        flag.push_back(std::string("--") + k.key);
+        if (!k.isSwitch)
+            flag.push_back(v);
+
+        std::vector<std::string> set = base;
+        set.push_back("--set");
+        set.push_back(std::string(k.key) + "=" + v);
+
+        const std::string file = dir + "/parity.grid";
+        std::ofstream(file) << "# one key\n" << k.key << " = " << v
+                            << "\n";
+        std::vector<std::string> grid = base;
+        grid.push_back("--grid");
+        grid.push_back(file);
+
+        const std::string viaFlag = describeSweep(parseSweep(flag));
+        EXPECT_NE(viaFlag, plain) << "the key changed nothing";
+        EXPECT_EQ(describeSweep(parseSweep(set)), viaFlag);
+        EXPECT_EQ(describeSweep(parseSweep(grid)), viaFlag);
+    }
+    setLogVerbosity(1); // the log key is process-wide
+}
+
+TEST(OptionTableTest, SweepCommandLineKeepsItsSpellings)
+{
+    const GridSettings g = parseSweep(
+        {"-j", "4", "--progress=always", "--quiet", "--seeds", "1,2",
+         "--lanes", "4", "--configs", "work"});
+    EXPECT_EQ(g.jobs, 4u);
+    EXPECT_EQ(g.progress, "always");
+    EXPECT_TRUE(g.quiet);
+    EXPECT_EQ(g.spec().progress, "never") << "--quiet wins";
+    ASSERT_EQ(g.spec().configs.size(), 1u);
+    EXPECT_EQ(g.spec().configs[0].cfg.lanes, 4u)
+        << "--lanes applies whatever the order";
+    EXPECT_EQ(g.spec().seeds, (std::vector<std::uint64_t>{1, 2}));
+
+    const GridSettings def = parseSweep({});
+    EXPECT_EQ(def.progress, "auto");
+    EXPECT_EQ(def.spec().seeds, (std::vector<std::uint64_t>{7}));
+    EXPECT_EQ(def.spec().configs.size(), 2u);
+
+    EXPECT_FALSE(SweepSpec{}.progressEnabled())
+        << "a library sweep prints no progress unless asked";
+    EXPECT_THROW(parseSweep({"--no-such-flag"}), FatalError);
+    EXPECT_THROW(parseSweep({"--set", "bogus=1"}), FatalError);
+    EXPECT_THROW(parseSweep({"--set", "quiet=yes"}), FatalError)
+        << "a switch takes 0|1 in a file";
+
+    // Sweep-only keys stay out of the shared parser.
+    Argv a({"prog", "--configs", "delta"});
+    (void)parseCommandLine(a.argc, a.argv());
+    EXPECT_EQ(a.argc, 3);
+}
+
+TEST(OptionTableTest, BareTimelineSeriesLeavesCacheKeysAlone)
+{
+    const GridSettings plain = parseSweep({"--workloads", "spmv"});
+    const GridSettings series =
+        parseSweep({"--workloads", "spmv", "--timeline-series", "noc"});
+    const SweepSpec a = plain.spec(), b = series.spec();
+    const Sweep sweep(a);
+    for (const RunPoint& p : sweep.points())
+        EXPECT_EQ(canonicalCell(a, p), canonicalCell(b, p));
+
+    const GridSettings timed = parseSweep(
+        {"--workloads", "spmv", "--timeline", "500",
+         "--timeline-series", "noc"});
+    const SweepSpec c = timed.spec();
+    const RunPoint p = Sweep(c).points().front();
+    EXPECT_NE(canonicalCell(c, p).find("timeline=500/512/noc"),
+              std::string::npos)
+        << canonicalCell(c, p);
+}
+
+TEST(RunOneTest, BenchJsonRecordsTheConfigThatRan)
+{
+    // The wrapper and its file tag must describe the config after
+    // the run-wide overrides, not the preset handed in.
+    const std::string dir = testing::TempDir() + "/runone-bench-json";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    RunOptions opt;
+    opt.scale = 0.25;
+    opt.sched = SchedPolicy::DynCount;
+    opt.schedSet = true;
+    opt.steal = StealPolicy::StealOne;
+    opt.benchJsonDir = dir;
+    const RunResult r = runOne(opt, Wk::Spmv, DeltaConfig::delta());
+    EXPECT_TRUE(r.correct);
+
+    std::vector<std::filesystem::path> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        files.push_back(e.path());
+    ASSERT_EQ(files.size(), 1u);
+    EXPECT_NE(files[0].filename().string().find("_dyncount_l8"),
+              std::string::npos)
+        << files[0];
+    std::ifstream in(files[0]);
+    const std::string json((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(json.find("\"policy\": \"dyncount\""), std::string::npos);
+    EXPECT_NE(json.find("\"steal\": \"steal-one\""), std::string::npos);
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
