@@ -70,65 +70,66 @@ meshFor(std::uint32_t lanes, NocConfig links)
 
 } // namespace
 
-Delta::Delta(const DeltaConfig& cfg)
-    : cfg_(cfg), registry_(cfg.lane.fabric.geom)
+Delta::Machine::Machine(const DeltaConfig& cfg)
+    : registry(cfg.lane.fabric.geom)
 {
-    if (cfg_.lanes == 0 || cfg_.lanes > 62)
-        fatal("Delta supports 1..62 lanes, got ", cfg_.lanes);
+    sim.setFastForward(!cfg.noFastForward);
+    tracer = std::make_unique<trace::Tracer>(cfg.trace);
 
-    sim_.setFastForward(!cfg_.noFastForward);
-    tracer_ = std::make_unique<trace::Tracer>(cfg_.trace);
-
-    noc_ = std::make_unique<Noc>(sim_,
-                                 meshFor(cfg_.lanes, cfg_.nocLinks));
+    noc = std::make_unique<Noc>(sim, meshFor(cfg.lanes, cfg.nocLinks));
 
     const std::uint32_t dispatcherNode = 0;
-    const std::uint32_t memNodeId = cfg_.lanes + 1;
+    const std::uint32_t memNodeId = cfg.lanes + 1;
 
-    memNode_ = std::make_unique<MemNode>(sim_, *noc_, memNodeId,
-                                         cfg_.mem);
+    memNode = std::make_unique<MemNode>(sim, *noc, memNodeId, cfg.mem);
 
     std::vector<std::uint32_t> laneNodes;
-    for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
+    for (std::uint32_t i = 0; i < cfg.lanes; ++i)
         laneNodes.push_back(laneNode(i));
 
-    LaneConfig lcfg = cfg_.lane;
-    lcfg.steal = cfg_.steal;
-    for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
-        lanes_.push_back(std::make_unique<Lane>(
-            sim_, *noc_, img_, registry_, i, laneNode(i),
-            dispatcherNode, memNodeId, lcfg, laneNodes));
+    LaneConfig lcfg = cfg.lane;
+    lcfg.steal = cfg.steal;
+    for (std::uint32_t i = 0; i < cfg.lanes; ++i) {
+        lanes.push_back(std::make_unique<Lane>(
+            sim, *noc, img, registry, i, laneNode(i), dispatcherNode,
+            memNodeId, lcfg, laneNodes));
     }
 
     DispatcherConfig dcfg;
-    dcfg.policy = cfg_.policy;
-    dcfg.steal = cfg_.steal;
-    dcfg.enablePipeline = cfg_.enablePipeline;
-    dcfg.enableMulticast = cfg_.enableMulticast;
-    dcfg.bulkSynchronous = cfg_.bulkSynchronous;
-    dcfg.laneQueueCap = cfg_.laneQueueCap;
-    dcfg.spmLandingWords = cfg_.lane.spm.sizeWords;
+    dcfg.policy = cfg.policy;
+    dcfg.steal = cfg.steal;
+    dcfg.enablePipeline = cfg.enablePipeline;
+    dcfg.enableMulticast = cfg.enableMulticast;
+    dcfg.bulkSynchronous = cfg.bulkSynchronous;
+    dcfg.laneQueueCap = cfg.laneQueueCap;
+    dcfg.spmLandingWords = cfg.lane.spm.sizeWords;
     dcfg.selfNode = dispatcherNode;
     dcfg.memNode = memNodeId;
     dcfg.laneNodes = laneNodes;
     std::optional<SpatialPolicy> spatial;
-    if (cfg_.policy == SchedPolicy::Spatial) {
-        spatial.emplace(laneNodes, cfg_.spatialBufferWords,
-                        cfg_.spatialRemapFactor);
+    if (cfg.policy == SchedPolicy::Spatial) {
+        spatial.emplace(laneNodes, cfg.spatialBufferWords,
+                        cfg.spatialRemapFactor);
     }
-    dispatcher_ = std::make_unique<Dispatcher>(*noc_, img_, registry_,
-                                               dcfg, std::move(spatial));
-    sim_.add(dispatcher_.get());
+    dispatcher = std::make_unique<Dispatcher>(*noc, img, registry, dcfg,
+                                              std::move(spatial));
+    sim.add(dispatcher.get());
 
-    if (cfg_.flightRecorder > 0) {
-        recorder_ =
-            std::make_unique<obs::FlightRecorder>(cfg_.flightRecorder);
-        sim_.setFlightRecorder(recorder_.get());
+    if (cfg.flightRecorder > 0) {
+        recorder = std::make_unique<obs::FlightRecorder>(cfg.flightRecorder);
+        sim.setFlightRecorder(recorder.get());
     }
-    if (cfg_.hostProfile) {
-        profiler_ = std::make_unique<obs::HostProfiler>();
-        sim_.setHostProfiler(profiler_.get());
+    if (cfg.hostProfile) {
+        profiler = std::make_unique<obs::HostProfiler>();
+        sim.setHostProfiler(profiler.get());
     }
+}
+
+Delta::Delta(const DeltaConfig& cfg) : cfg_(cfg)
+{
+    if (cfg_.lanes == 0 || cfg_.lanes > 62)
+        fatal("Delta supports 1..62 lanes, got ", cfg_.lanes);
+    m_ = std::make_unique<Machine>(cfg_);
 }
 
 Delta::~Delta() = default;
@@ -136,33 +137,29 @@ Delta::~Delta() = default;
 std::unique_ptr<DeltaSnapshot>
 Delta::snapshot() const
 {
-    // Tracing keeps append-only side state (track ids, open spans)
-    // that a rewind would corrupt.
-    TS_ASSERT(!tracer_->enabled(),
+    // Tracing keeps append-only side state (track ids, open spans,
+    // the output file) that a rebuild would orphan.
+    TS_ASSERT(!m_->tracer->enabled(),
               "snapshot/fork does not compose with tracing");
-    auto s = std::make_unique<DeltaSnapshot>();
-    s->sim_ = sim_.snapshot();
-    s->img_ = img_;
-    s->registryMark_ = registry_.mark();
-    s->noc_ = noc_->counters();
-    s->ran_ = ran_;
-    return s;
+    // restore() returns to the as-constructed state, so a snapshot of
+    // anything later would silently restore to the wrong state.
+    if (m_->sim.now() != 0 || m_->ran || m_->registry.numTypes() != 0 ||
+        m_->img.allocatedWords() != MemImage().allocatedWords()) {
+        fatal("Delta::snapshot() is only legal on an as-constructed "
+              "Delta (not after a workload build, a simulated cycle "
+              "or a run)");
+    }
+    return std::make_unique<DeltaSnapshot>();
 }
 
 void
-Delta::restore(const DeltaSnapshot& s)
+Delta::restore(const DeltaSnapshot&)
 {
-    TS_ASSERT(!tracer_->enabled(),
+    TS_ASSERT(!m_->tracer->enabled(),
               "snapshot/fork does not compose with tracing");
-    registry_.rollback(s.registryMark_);
-    img_ = s.img_;
-    noc_->restoreCounters(s.noc_);
-    sim_.restore(s.sim_);
-    ran_ = s.ran_;
-    // The snapshot rewinds sim.host.wallNs; the profile buckets must
-    // restart with it or a forked run reports its predecessors' time.
-    if (profiler_)
-        *profiler_ = obs::HostProfiler{};
+    // Tear down before rebuilding, so two accelerators never coexist.
+    m_.reset();
+    m_ = std::make_unique<Machine>(cfg_);
 }
 
 namespace
@@ -191,43 +188,43 @@ struct StatsActivation
 StatSet
 Delta::run(const TaskGraph& graph)
 {
-    TS_ASSERT(!ran_, "a Delta instance runs one graph");
-    ran_ = true;
+    Machine& m = *m_;
+    TS_ASSERT(!m.ran, "a Delta instance runs one graph");
+    m.ran = true;
 
     StatSet stats;
-    TraceActivation activation(tracer_.get());
+    TraceActivation activation(m.tracer.get());
     StatsActivation statsActivation(&stats);
 
     // Ahead-of-time spatial mapping: plan lane placement from the
     // fully-known graph before the first dispatch.  The plan is a
-    // pure function of (graph, image, registry, mesh), so it is
-    // bit-identical across snapshot forks.
+    // pure function of (graph, image, registry, mesh).
     spatial::SpatialPlan plan;
     if (cfg_.policy == SchedPolicy::Spatial) {
         std::vector<std::uint32_t> laneNodes;
         for (std::uint32_t i = 0; i < cfg_.lanes; ++i)
             laneNodes.push_back(laneNode(i));
-        plan = spatial::mapTaskGraph(graph, img_, registry_, *noc_,
+        plan = spatial::mapTaskGraph(graph, m.img, m.registry, *m.noc,
                                      laneNodes,
                                      cfg_.nocLinks.linkWords);
-        dispatcher_->setSpatialPlan(plan.lane);
+        m.dispatcher->setSpatialPlan(plan.lane);
     }
 
-    dispatcher_->loadGraph(graph);
+    m.dispatcher->loadGraph(graph);
 
     // Time-series sampler: weak events at exact simulated ticks, so
-    // the timeline is bit-identical across execution modes, thread
-    // counts, and snapshot forks.  run() drops any still-armed
-    // sample event, so the captures below cannot outlive this call.
+    // the timeline is bit-identical across execution modes and
+    // thread counts.  run() drops any still-armed sample event, so
+    // the captures below cannot outlive this call.
     std::unique_ptr<obs::Timeline> timeline;
     if (cfg_.timelineInterval > 0) {
         obs::TimelineConfig tlc;
         tlc.interval = cfg_.timelineInterval;
         tlc.maxSamples = cfg_.timelineMaxSamples;
         tlc.series = cfg_.timelineSeries;
-        timeline = std::make_unique<obs::Timeline>(sim_, tlc);
+        timeline = std::make_unique<obs::Timeline>(m.sim, tlc);
         for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
-            const TaskUnit& tu = lanes_[i]->taskUnit();
+            const TaskUnit& tu = m.lanes[i]->taskUnit();
             for (std::size_t c = 0; c < kNumCycleClasses; ++c)
                 timeline->addCounter(
                     "lanes",
@@ -238,36 +235,36 @@ Delta::run(const TaskGraph& graph)
                             tu.cycleBuckets().counts[c]);
                     });
         }
-        timeline->addGauge("ready", "readyQueue", [this] {
+        timeline->addGauge("ready", "readyQueue", [&m] {
             return static_cast<double>(
-                dispatcher_->readyQueueDepth());
+                m.dispatcher->readyQueueDepth());
         });
-        timeline->addGauge("noc", "nocInFlight", [this] {
-            return static_cast<double>(noc_->packetsInFlight());
+        timeline->addGauge("noc", "nocInFlight", [&m] {
+            return static_cast<double>(m.noc->packetsInFlight());
         });
-        timeline->addGauge("dram", "dramQueue", [this] {
+        timeline->addGauge("dram", "dramQueue", [&m] {
             return static_cast<double>(
-                memNode_->memory().queueDepth());
+                m.memNode->memory().queueDepth());
         });
         timeline->start();
     }
 
-    const Tick cycles = sim_.run(cfg_.maxCycles);
+    const Tick cycles = m.sim.run(cfg_.maxCycles);
     if (timeline != nullptr)
         timeline->finalSample();
 
-    if (!dispatcher_->allComplete())
+    if (!m.dispatcher->allComplete())
         panic("simulation quiesced with incomplete tasks");
 
-    sim_.reportStats(stats);
-    noc_->reportStats(stats);
+    m.sim.reportStats(stats);
+    m.noc->reportStats(stats);
     if (timeline != nullptr)
         timeline->report(stats);
     stats.set("delta.cycles", static_cast<double>(cycles));
     stats.set("delta.lanes", static_cast<double>(cfg_.lanes));
 
     double busyMax = 0, busySum = 0;
-    for (const auto& lane : lanes_) {
+    for (const auto& lane : m.lanes) {
         const auto busy =
             static_cast<double>(lane->taskUnit().busyCycles());
         busyMax = std::max(busyMax, busy);
@@ -283,7 +280,7 @@ Delta::run(const TaskGraph& graph)
     // each task unit; aggregate them here and check the invariant
     // that every lane cycle is attributed to exactly one bucket.
     std::array<double, kNumCycleClasses> agg{};
-    for (const auto& lane : lanes_) {
+    for (const auto& lane : m.lanes) {
         const CycleBuckets& b = lane->taskUnit().cycleBuckets();
         TS_ASSERT(b.total() == cycles,
                   "cycle-accounting buckets must sum to delta.cycles");
@@ -308,7 +305,7 @@ Delta::run(const TaskGraph& graph)
     // Steal protocol traffic as the lanes saw it.
     if (cfg_.steal != StealPolicy::None) {
         std::uint64_t reqs = 0, grants = 0, denies = 0;
-        for (const auto& lane : lanes_) {
+        for (const auto& lane : m.lanes) {
             reqs += lane->taskUnit().stealRequestsSent();
             grants += lane->taskUnit().stealGrantsReceived();
             denies += lane->taskUnit().stealDeniesReceived();
@@ -322,16 +319,16 @@ Delta::run(const TaskGraph& graph)
     }
 
     const auto mcastHops =
-        static_cast<double>(noc_->mcastWordHops());
+        static_cast<double>(m.noc->mcastWordHops());
     const auto mcastEquivHops =
-        static_cast<double>(noc_->mcastUnicastEquivWordHops());
+        static_cast<double>(m.noc->mcastUnicastEquivWordHops());
     stats.set("delta.attrib.multicast.wordHops", mcastHops);
     stats.set("delta.attrib.multicast.unicastEquivWordHops",
               mcastEquivHops);
     stats.set("delta.attrib.multicast.wordHopsSaved",
               std::max(0.0, mcastEquivHops - mcastHops));
     stats.set("delta.attrib.multicast.packets",
-              static_cast<double>(noc_->mcastPackets()));
+              static_cast<double>(m.noc->mcastPackets()));
 
     // Spatial-mapping attribution: DRAM traffic the lane-to-lane
     // forwarding suppressed (producer write-backs) and avoided
@@ -339,7 +336,7 @@ Delta::run(const TaskGraph& graph)
     if (cfg_.policy == SchedPolicy::Spatial) {
         std::uint64_t suppressed = 0, landingLines = 0, hopWords = 0;
         std::uint64_t fwdWords = 0, chunks = 0;
-        for (const auto& lane : lanes_) {
+        for (const auto& lane : m.lanes) {
             suppressed += lane->spatialLinesSuppressed();
             landingLines += lane->spatialLandingLines();
             hopWords += lane->spatialHopWords();
@@ -373,7 +370,7 @@ Delta::run(const TaskGraph& graph)
 
     // -- Critical-path bound from the measured task spans, over the
     // live graph (spawned tasks and transferred successors included) --
-    const CritPathResult cp = dispatcher_->criticalPath();
+    const CritPathResult cp = m.dispatcher->criticalPath();
     const Tick bound = cp.boundCycles(cfg_.lanes);
     stats.set("delta.critpath.cycles",
               static_cast<double>(cp.criticalPathCycles));
@@ -388,14 +385,14 @@ Delta::run(const TaskGraph& graph)
                                static_cast<double>(cycles)
                          : 0.0);
 
-    if (tracer_->enabled()) {
+    if (m.tracer->enabled()) {
         // Leave the per-lane summary in the trace, then seal it.
         for (std::uint32_t i = 0; i < cfg_.lanes; ++i) {
             const CycleBuckets& b =
-                lanes_[i]->taskUnit().cycleBuckets();
+                m.lanes[i]->taskUnit().cycleBuckets();
             const std::string series = "lane" + std::to_string(i);
             for (std::size_t c = 0; c < kNumCycleClasses; ++c) {
-                tracer_->counter(
+                m.tracer->counter(
                     (std::string("accounting.") +
                      cycleClassName(static_cast<CycleClass>(c)))
                         .c_str(),
@@ -403,8 +400,8 @@ Delta::run(const TaskGraph& graph)
             }
         }
         stats.set("trace.events",
-                  static_cast<double>(tracer_->events()));
-        tracer_->finish();
+                  static_cast<double>(m.tracer->events()));
+        m.tracer->finish();
     }
 
     // Machine-readable dump for tools/delta-report: every run (the

@@ -84,10 +84,9 @@ struct DeltaConfig
      * Time-series sampling interval in simulated cycles; 0 (default)
      * disables the timeline.  When on, the run JSON gains a columnar
      * `delta.timeline.*` section sampled at exact simulated ticks —
-     * bit-identical across execution modes, thread counts, and
-     * snapshot forks.  Behaviour-relevant for cache keys (it changes
-     * the emitted stats), so it participates in
-     * driver::canonicalConfig.
+     * bit-identical across execution modes and thread counts.
+     * Behaviour-relevant for cache keys (it changes the emitted
+     * stats), so it participates in driver::canonicalConfig.
      */
     Tick timelineInterval = 0;
 
@@ -138,28 +137,29 @@ class Delta
     Delta& operator=(const Delta&) = delete;
 
     /**
-     * Capture the accelerator's complete mutable state (simulated
-     * time, every component, the memory image, the registry
-     * watermark).  Taken at a quiescent point — typically right after
-     * construction — and restored any number of times with restore(),
-     * so one construction serves many runs.  Forked runs are
-     * bit-identical to from-scratch runs; see DESIGN.md §7 for the
-     * ownership/copy contract.  Does not compose with tracing
-     * (checked).
+     * Mark this as-constructed accelerator as the state restore()
+     * returns to.  Legal only on an untouched Delta: fatal() once the
+     * simulator has advanced, a workload has been built into it
+     * (image allocations or registered task types) or it has run.
+     * Does not compose with tracing (checked).
      */
     std::unique_ptr<DeltaSnapshot> snapshot() const;
 
-    /** Rewind to a snapshot taken on this same instance.  The host
-     *  profile (sim.host.profile.*) restarts from zero, like
-     *  sim.host.wallNs. */
+    /**
+     * Return to the as-constructed state by tearing the accelerator
+     * down and rebuilding it from config(), so a restored run is a
+     * fresh run.  Invalidates every reference previously returned by
+     * image(), registry(), sim(), lane(), dispatcher(), noc() and
+     * tracer().
+     */
     void restore(const DeltaSnapshot& s);
 
     /** The functional memory image (workload setup and checking). */
-    MemImage& image() { return img_; }
+    MemImage& image() { return m_->img; }
 
     /** Task-type registry (register DFGs/builtins before building
      *  the task graph). */
-    TaskTypeRegistry& registry() { return registry_; }
+    TaskTypeRegistry& registry() { return m_->registry; }
 
     /**
      * Execute a task graph to completion and return the full
@@ -175,47 +175,44 @@ class Delta
     std::uint32_t numLanes() const { return cfg_.lanes; }
 
     /** The run's tracer (disabled unless configured; never null). */
-    const trace::Tracer& tracer() const { return *tracer_; }
-    const Lane& lane(std::uint32_t i) const { return *lanes_.at(i); }
-    const Dispatcher& dispatcher() const { return *dispatcher_; }
-    const Noc& noc() const { return *noc_; }
-    Simulator& sim() { return sim_; }
+    const trace::Tracer& tracer() const { return *m_->tracer; }
+    const Lane& lane(std::uint32_t i) const { return *m_->lanes.at(i); }
+    const Dispatcher& dispatcher() const { return *m_->dispatcher; }
+    const Noc& noc() const { return *m_->noc; }
+    Simulator& sim() { return m_->sim; }
     const DeltaConfig& config() const { return cfg_; }
 
     /** NoC node hosting lane @p i. */
-    std::uint32_t laneNode(std::uint32_t i) const { return 1 + i; }
+    static std::uint32_t laneNode(std::uint32_t i) { return 1 + i; }
 
   private:
+    /** Everything built from cfg_, in construction (and reverse
+     *  destruction) order; restore() replaces it whole. */
+    struct Machine
+    {
+        explicit Machine(const DeltaConfig& cfg);
+
+        MemImage img;
+        Simulator sim;
+        std::unique_ptr<trace::Tracer> tracer;
+        std::unique_ptr<Noc> noc;
+        TaskTypeRegistry registry;
+        std::unique_ptr<MemNode> memNode;
+        std::vector<std::unique_ptr<Lane>> lanes;
+        std::unique_ptr<Dispatcher> dispatcher;
+        std::unique_ptr<obs::FlightRecorder> recorder;
+        std::unique_ptr<obs::HostProfiler> profiler;
+        bool ran = false;
+    };
+
     DeltaConfig cfg_;
-    MemImage img_;
-    Simulator sim_;
-    std::unique_ptr<trace::Tracer> tracer_;
-    std::unique_ptr<Noc> noc_;
-    TaskTypeRegistry registry_;
-    std::unique_ptr<MemNode> memNode_;
-    std::vector<std::unique_ptr<Lane>> lanes_;
-    std::unique_ptr<Dispatcher> dispatcher_;
-    std::unique_ptr<obs::FlightRecorder> recorder_;
-    std::unique_ptr<obs::HostProfiler> profiler_;
-    bool ran_ = false;
+    std::unique_ptr<Machine> m_;
 };
 
-/**
- * Opaque value capture of a Delta's state.  Only the Delta instance
- * that produced it can restore it (restore happens in place on the
- * same object graph, which is what keeps component cross-pointers
- * valid).
- */
+/** Token returned by Delta::snapshot(): restoring it rebuilds the
+ *  accelerator from its config. */
 class DeltaSnapshot
 {
-  private:
-    friend class Delta;
-
-    SimSnapshot sim_;
-    MemImage img_;
-    TaskTypeRegistry::Mark registryMark_;
-    Noc::Counters noc_;
-    bool ran_ = false;
 };
 
 } // namespace ts

@@ -36,8 +36,6 @@ splitList(const std::string& list)
 
 GridSettings::GridSettings()
 {
-    seeds.clear();
-    scales.clear();
     progress = "auto";
 }
 
@@ -47,10 +45,6 @@ GridSettings::spec() const
     SweepSpec s = *this;
     if (s.configs.empty())
         s.configs = sweepConfigsFromList("", lanes);
-    if (s.seeds.empty())
-        s.seeds = {seed};
-    if (s.scales.empty())
-        s.scales = {scale};
     if (quiet)
         s.progress = "never";
     return s;

@@ -33,14 +33,12 @@ struct GridSettings : SweepSpec
     bool quiet = false;      ///< no progress or run summaries
     bool dryRun = false;     ///< expand + predict, no runs
 
-    /** seeds and scales start empty (they default to seed and scale)
-     *  and progress at the command-line default, auto. */
+    /** progress starts at the command-line default, auto. */
     GridSettings();
 
     /**
-     * The sweep these settings describe: empty configs, seeds and
-     * scales resolve to static,delta, {seed} and {scale}, and quiet
-     * turns progress off.
+     * The sweep these settings describe: empty configs resolve to
+     * static,delta, and quiet turns progress off.
      */
     SweepSpec spec() const;
 };

@@ -221,7 +221,9 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     // dumps), so v4 dumps would replay stale results.
     // v6: the 18 duplicate dispatcher/delta keys were dropped and
     // the load-balance attribution is signed.
-    os << "v6 wk=" << wkName(point.workload)
+    // v7: delta.critpath.* runs activated pipeline edges start to
+    // start, so pipelined runs report a lower bound.
+    os << "v7 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
        << canonicalConfig(pointConfig(spec, point));
@@ -235,9 +237,9 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
     if (spec_.configs.empty())
         fatal("sweep: no configs selected");
     if (spec_.seeds.empty())
-        fatal("sweep: no seeds selected");
+        spec_.seeds = {spec_.seed};
     if (spec_.scales.empty())
-        fatal("sweep: no scales selected");
+        spec_.scales = {spec_.scale};
     for (const double s : spec_.scales) {
         if (!(s > 0))
             fatal("sweep: scales must be positive, got ", s);

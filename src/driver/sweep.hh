@@ -82,19 +82,18 @@ struct RunPoint;
  * concurrency), benchJsonDir an existing directory for one
  * `<tag>.json` bench-JSON wrapper per run, tracePath the base of one
  * `<base>.<tag>.json` Perfetto trace per point, and progress the
- * progress/ETA lines on stderr; seed, scale and statsJsonPath are
- * not used (the seeds and scales axes replace the first two, and the
- * engine refuses the third, whose one file every point would
- * overwrite).
+ * progress/ETA lines on stderr; seed and scale are what an empty
+ * seeds or scales axis resolves to; statsJsonPath is refused (its one
+ * file every point would overwrite).
  */
 struct SweepSpec : RunOptions
 {
     /** Library sweeps print no progress lines unless asked. */
     SweepSpec() { progress = "never"; }
 
-    std::vector<ConfigVariant> configs;  ///< must be non-empty
-    std::vector<std::uint64_t> seeds{7};
-    std::vector<double> scales{1.0};
+    std::vector<ConfigVariant> configs; ///< must be non-empty
+    std::vector<std::uint64_t> seeds;   ///< empty = {seed}
+    std::vector<double> scales;         ///< empty = {scale}
 
     /** Config paired speedups are measured against ("" = the first
      *  config when more than one, else no speedups). */
@@ -226,6 +225,9 @@ class Sweep
 {
   public:
     explicit Sweep(SweepSpec spec);
+
+    /** The spec, with empty seeds/scales axes resolved. */
+    const SweepSpec& spec() const { return spec_; }
 
     /** The expanded grid, in execution-independent order. */
     const std::vector<RunPoint>& points() const { return points_; }

@@ -78,29 +78,6 @@ class NocRouter : public Ticked
 
     bool busy() const override { return false; }
 
-    std::unique_ptr<ComponentSnap>
-    saveState() const override
-    {
-        auto s = std::make_unique<Snap>();
-        s->linkFreeAt = linkFreeAt_;
-        s->delivered = delivered_;
-        s->wordHops = wordHops_;
-        s->mcastWordHops = mcastWordHops_;
-        s->mcastDeliveries = mcastDeliveries_;
-        return s;
-    }
-
-    void
-    restoreState(const ComponentSnap& snap) override
-    {
-        const Snap& s = snapCast<Snap>(snap);
-        linkFreeAt_ = s.linkFreeAt;
-        delivered_ = s.delivered;
-        wordHops_ = s.wordHops;
-        mcastWordHops_ = s.mcastWordHops;
-        mcastDeliveries_ = s.mcastDeliveries;
-    }
-
     std::array<Channel<Packet>*, NumDirs> in_;
     std::array<Channel<Packet>*, NumDirs> out_;
 
@@ -111,18 +88,6 @@ class NocRouter : public Ticked
     std::uint64_t mcastDeliveries_ = 0;
 
   private:
-    /** Mutable router state: per-link serialization maturity plus
-     *  this router's traffic counters.  in_/out_ are wiring, and the
-     *  round-robin pointer is a pure function of simulated time. */
-    struct Snap final : ComponentSnap
-    {
-        std::array<Tick, NumDirs> linkFreeAt{};
-        std::uint64_t delivered = 0;
-        std::uint64_t wordHops = 0;
-        std::uint64_t mcastWordHops = 0;
-        std::uint64_t mcastDeliveries = 0;
-    };
-
     unsigned
     routeDir(std::uint32_t dst) const
     {
@@ -437,24 +402,6 @@ std::uint64_t
 Noc::mcastUnicastEquivWordHops() const
 {
     return sumVec(mcastUnicastEquivWordHops_);
-}
-
-Noc::Counters
-Noc::counters() const
-{
-    Counters c;
-    c.injected = injected_;
-    c.mcastPackets = mcastPackets_;
-    c.mcastUnicastEquivWordHops = mcastUnicastEquivWordHops_;
-    return c;
-}
-
-void
-Noc::restoreCounters(const Counters& c)
-{
-    injected_ = c.injected;
-    mcastPackets_ = c.mcastPackets;
-    mcastUnicastEquivWordHops_ = c.mcastUnicastEquivWordHops;
 }
 
 void

@@ -94,24 +94,6 @@ class Noc
     std::uint32_t hopDistance(std::uint32_t a, std::uint32_t b) const;
 
     /**
-     * The mesh's accumulated injection-side traffic counters
-     * (snapshot/fork support), per source node.  Routers and
-     * channels are Simulator-registered and snapshot through it —
-     * including the per-router forwarding counters — so the Noc
-     * itself only owns these.
-     */
-    struct Counters
-    {
-        std::vector<std::uint64_t> injected;
-        std::vector<std::uint64_t> mcastPackets;
-        std::vector<std::uint64_t> mcastUnicastEquivWordHops;
-    };
-
-    /** Copy out / restore the traffic counters. */
-    Counters counters() const;
-    void restoreCounters(const Counters& c);
-
-    /**
      * Packets currently buffered in the network: visible occupancy
      * of every injection and inter-router link channel (timeline
      * probe).  Ejection channels are excluded — a packet parked

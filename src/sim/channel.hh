@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace ts
 {
@@ -113,21 +112,6 @@ class ChannelBase
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
 
-    /**
-     * Copy all queued/staged values and counters (snapshot/fork
-     * support).  Must be called between cycles: a dirty channel
-     * cannot be snapshotted.
-     */
-    virtual std::unique_ptr<ComponentSnap> saveState() const = 0;
-
-    /**
-     * Restore a prior saveState() in place.  The external live
-     * counter (installHooks) is re-synchronized incrementally via
-     * setLive, so the owning simulator's quiescence accounting stays
-     * exact.
-     */
-    virtual void restoreState(const ComponentSnap& s) = 0;
-
   protected:
     /** First push of the cycle enqueues us for the commit phase. */
     void
@@ -172,14 +156,6 @@ class ChannelBase
 
     /** Producer-visible occupancy of a credit channel. */
     std::size_t credit() const { return credit_; }
-
-    /** Reset credit accounting from restored queue contents. */
-    void
-    resetCredits(std::size_t occupancy)
-    {
-        credit_ = occupancy;
-        pendingPops_ = 0;
-    }
 
     /** Commit served this channel; re-arm for the next cycle. */
     void clearDirty() { dirty_ = false; }
@@ -310,42 +286,7 @@ class Channel : public ChannelBase
     /** Configured capacity (0 = unbounded). */
     std::size_t capacity() const { return capacity_; }
 
-    std::unique_ptr<ComponentSnap>
-    saveState() const override
-    {
-        TS_ASSERT(!dirty(), "snapshot of dirty channel ", name());
-        auto s = std::make_unique<Snap>();
-        s->queue = queue_;
-        s->staging = staging_;
-        s->pushed = pushed_;
-        s->maxOccupancy = maxOccupancy_;
-        return s;
-    }
-
-    void
-    restoreState(const ComponentSnap& snap) override
-    {
-        TS_ASSERT(!dirty(), "restore into dirty channel ", name());
-        const Snap& s = snapCast<Snap>(snap);
-        queue_ = s.queue;
-        staging_ = s.staging;
-        pushed_ = s.pushed;
-        maxOccupancy_ = s.maxOccupancy;
-        // Snapshots are taken between cycles, where credit occupancy
-        // equals the stored contents and no pop is pending.
-        resetCredits(queue_.size() + staging_.size());
-        setLive(!queue_.empty() || !staging_.empty());
-    }
-
   private:
-    struct Snap final : ComponentSnap
-    {
-        std::deque<T> queue;
-        std::vector<T> staging;
-        std::uint64_t pushed = 0;
-        std::size_t maxOccupancy = 0;
-    };
-
     std::size_t capacity_;
     std::deque<T> queue_;
     std::vector<T> staging_;

@@ -43,20 +43,6 @@ heapPop(std::vector<W>& h)
 
 } // namespace
 
-std::unique_ptr<ComponentSnap>
-Ticked::saveState() const
-{
-    fatal("component '", name_,
-          "' does not implement saveState(); snapshot/fork requires "
-          "every registered component to copy its mutable state");
-}
-
-void
-Ticked::restoreState(const ComponentSnap&)
-{
-    fatal("component '", name_, "' does not implement restoreState()");
-}
-
 void
 Simulator::add(Ticked* t)
 {
@@ -401,8 +387,7 @@ Simulator::run(Tick maxCycles)
     const Tick end = advance(maxCycles, /*toQuiescence=*/true);
     catchUpAll();
     // Weak observers beyond quiescence never fire; drop them so their
-    // captures cannot dangle and snapshot()'s empty-queue contract
-    // holds at quiescence.
+    // captures cannot dangle.
     events_.clearWeak();
     wallNs_ += nsSince(t0);
     return end;
@@ -484,94 +469,6 @@ Simulator::deadlockFatal(Tick maxCycles, bool overrun)
         recorder_->dump(os);
     }
     fatal(os.str());
-}
-
-SimSnapshot
-Simulator::snapshot() const
-{
-    TS_ASSERT(!walking_, "snapshot from inside the tick walk");
-    TS_ASSERT(events_.empty() && !events_.hasWeak(),
-              "snapshot requires an empty event queue (callbacks are "
-              "move-only); snapshot post-configuration or at "
-              "quiescence");
-    TS_ASSERT(dirtyCh_.empty(),
-              "snapshot with uncommitted channel pushes");
-
-    SimSnapshot s;
-    s.now = now_;
-    s.fastForward = fastForward_;
-    s.components.reserve(ticked_.size());
-    s.meta.reserve(ticked_.size());
-    for (const Ticked* t : ticked_) {
-        s.components.push_back(t->saveState());
-        SimSnapshot::TickedMeta m;
-        m.sleepPending = t->sleepPending_;
-        m.sleeping = t->sleeping_;
-        m.sleepAt = t->sleepAt_;
-        m.inBusyList = t->inBusyList_;
-        s.meta.push_back(m);
-    }
-    s.channels.reserve(channels_.size());
-    for (const ChannelBase* c : channels_)
-        s.channels.push_back(c->saveState());
-
-    s.active = active_;
-    s.activeCount = activeCount_;
-    s.sleepHeap = sleepHeap_;
-    s.sleepersBusy = sleepersBusy_;
-    s.wallNs = wallNs_;
-    s.ticksExecuted = ticksExecuted_;
-    s.cyclesExecuted = cyclesExecuted_;
-    s.cyclesFastForwarded = cyclesFastForwarded_;
-    return s;
-}
-
-void
-Simulator::restore(const SimSnapshot& s)
-{
-    TS_ASSERT(!walking_, "restore from inside the tick walk");
-    TS_ASSERT(events_.empty() && !events_.hasWeak(),
-              "restore requires an empty event queue; restore at "
-              "quiescence (after run()) or before any cycle");
-    TS_ASSERT(dirtyCh_.empty(),
-              "restore with uncommitted channel pushes");
-    TS_ASSERT(s.components.size() == ticked_.size() &&
-                  s.channels.size() == channels_.size(),
-              "snapshot does not match this simulator's component/"
-              "channel registration");
-
-    now_ = s.now;
-    fastForward_ = s.fastForward;
-    for (std::size_t i = 0; i < ticked_.size(); ++i) {
-        Ticked* t = ticked_[i];
-        t->restoreState(*s.components[i]);
-        const SimSnapshot::TickedMeta& m = s.meta[i];
-        t->sleepPending_ = m.sleepPending;
-        t->sleeping_ = m.sleeping;
-        t->sleepAt_ = m.sleepAt;
-        t->inBusyList_ = m.inBusyList;
-        t->queuedWakeAt_ = kNoWakeTick;
-    }
-    // Channel restores re-sync liveChannels_ incrementally (setLive),
-    // so the counter needs no explicit reset.
-    for (std::size_t i = 0; i < channels_.size(); ++i)
-        channels_[i]->restoreState(*s.channels[i]);
-    active_ = s.active;
-    std::fill(pending_.begin(), pending_.end(), 0);
-    activeCount_ = s.activeCount;
-    // A copy of a heap is a heap; recompute the wake-dedup slots as
-    // each component's earliest queued entry.
-    sleepHeap_ = s.sleepHeap;
-    sleepersBusy_ = s.sleepersBusy;
-    for (const TimedWake& w : sleepHeap_) {
-        Ticked* t = ticked_[w.idx];
-        if (w.at < t->queuedWakeAt_)
-            t->queuedWakeAt_ = w.at;
-    }
-    wallNs_ = s.wallNs;
-    ticksExecuted_ = s.ticksExecuted;
-    cyclesExecuted_ = s.cyclesExecuted;
-    cyclesFastForwarded_ = s.cyclesFastForwarded;
 }
 
 void

@@ -64,7 +64,6 @@
 #include "obs/flight_recorder.hh"
 #include "sim/channel.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -72,7 +71,6 @@ namespace ts
 {
 
 class Simulator;
-class SimSnapshot;
 
 namespace obs
 {
@@ -117,18 +115,6 @@ class Ticked
      * anywhere at any time; spurious wakes are harmless.
      */
     void requestWake();
-
-    /**
-     * Copy all mutable state into a value-semantic snap (see
-     * snapshot.hh for the ownership/copy contract).  The default
-     * fatal()s naming the component, so a snapshot over an unported
-     * component fails loudly rather than silently forking stale
-     * state; stateless components return EmptySnap.
-     */
-    virtual std::unique_ptr<ComponentSnap> saveState() const;
-
-    /** Restore a prior saveState() in place (same object graph). */
-    virtual void restoreState(const ComponentSnap& s);
 
     /** Diagnostic name. */
     const std::string& name() const { return name_; }
@@ -247,21 +233,6 @@ class Simulator
     bool fastForward() const { return fastForward_; }
 
     /**
-     * Capture the complete simulation state — time, every component's
-     * and channel's mutable state, the sleep/wake bookkeeping of the
-     * activity-driven core — as a value-semantic snapshot.  Must be
-     * called between cycles with an empty event queue (event
-     * callbacks are move-only); both are true post-configuration and
-     * at quiescence.  A run resumed from a restored snapshot is
-     * bit-identical to one that never snapshotted.
-     */
-    SimSnapshot snapshot() const;
-
-    /** Restore a snapshot in place over the same components and
-     *  channels, in the same registration order. */
-    void restore(const SimSnapshot& s);
-
-    /**
      * Flush deferred accounting on every component (see
      * Ticked::catchUp).  Called automatically before run()/step()
      * return; public so mid-run observers (the timeline sampler) can
@@ -291,7 +262,6 @@ class Simulator
 
   private:
     friend class Ticked;
-    friend class SimSnapshot;
 
     static constexpr Tick kNoWakeTick =
         std::numeric_limits<Tick>::max();
@@ -391,8 +361,7 @@ class Simulator
     bool walking_ = false;
     std::uint32_t walkPos_ = 0;
     /** Pending sleepUntil wakes, as a min-heap over (at, idx) via
-     *  std::push_heap/pop_heap — a plain vector, so snapshots copy
-     *  it.  Stale entries wake spuriously. */
+     *  std::push_heap/pop_heap.  Stale entries wake spuriously. */
     std::vector<TimedWake> sleepHeap_;
     /** Sleeping components that reported busy() when they slept. */
     std::vector<std::uint32_t> sleepersBusy_;
@@ -415,42 +384,6 @@ class Simulator
     obs::HostProfiler* profiler_ = nullptr;
     /** Per-component host-profiler tick bucket, filled by add(). */
     std::vector<unsigned char> profClass_;
-};
-
-/**
- * A value-semantic copy of a Simulator's complete state (see
- * Simulator::snapshot).  Opaque: only the simulator reads or writes
- * it.  Movable but not copyable (component snaps are type-erased
- * unique_ptrs); one snapshot can be restored any number of times.
- */
-class SimSnapshot
-{
-  private:
-    friend class Simulator;
-
-    /** Per-component sleep/wake bookkeeping (Ticked fields). */
-    struct TickedMeta
-    {
-        bool sleepPending = false;
-        bool sleeping = false;
-        Tick sleepAt = 0;
-        bool inBusyList = false;
-    };
-
-    Tick now = 0;
-    bool fastForward = true;
-    std::vector<std::unique_ptr<ComponentSnap>> components;
-    std::vector<TickedMeta> meta;
-    std::vector<std::unique_ptr<ComponentSnap>> channels;
-    std::vector<std::uint64_t> active;
-    std::uint32_t activeCount = 0;
-    /** Timed-wake heap entries (registration indices). */
-    std::vector<Simulator::TimedWake> sleepHeap;
-    std::vector<std::uint32_t> sleepersBusy;
-    std::uint64_t wallNs = 0;
-    std::uint64_t ticksExecuted = 0;
-    std::uint64_t cyclesExecuted = 0;
-    std::uint64_t cyclesFastForwarded = 0;
 };
 
 inline void

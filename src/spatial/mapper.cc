@@ -49,6 +49,11 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
         linkWords = 1;
 
     const std::vector<TaskId> topo = g.topoOrder();
+    // The list schedule below orders every edge end to start, so the
+    // critical path it is scored against does too.
+    std::vector<DepEdge> edges = g.edges();
+    for (DepEdge& e : edges)
+        e.kind = DepKind::Barrier;
 
     // Per-task work estimates (cycles; floor 1 so every placement
     // decision is load-visible).
@@ -175,7 +180,7 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
                                   assign[uid]};
         }
 
-        const CritPathResult cp = g.criticalPath(spans);
+        const CritPathResult cp = criticalPathOver(edges, topo, spans);
         const Tick score = std::max(makespan, cp.criticalPathCycles);
         if (best.empty() || score < bestScore) {
             best = assign;

@@ -83,7 +83,6 @@ landingGroup(std::uint32_t consumer, std::uint8_t port)
  * memory image); the tracker counts arrived words and end-of-stream
  * markers per landing group, and the task unit holds a gated consumer
  * in WaitFill until every forwarding producer's done marker is in.
- * Copyable by value for snapshot/fork.
  */
 class LandingTracker
 {

@@ -1087,10 +1087,14 @@ Dispatcher::criticalPath() const
         s.lane = ts.lane;
         spans.push_back(s);
     }
+    // A pipeline edge that was not activated ran as a barrier.
     std::vector<DepEdge> edges;
     edges.reserve(edges_.size());
-    for (const EdgeState& es : edges_)
+    for (const EdgeState& es : edges_) {
         edges.push_back(es.e);
+        if (!es.activated)
+            edges.back().kind = DepKind::Barrier;
+    }
     return criticalPathOver(edges, liveTopoOrder(), spans);
 }
 
@@ -1157,31 +1161,6 @@ Dispatcher::reportStats(StatSet& stats) const
     }
     if (spatial_)
         spatial_->reportStats(stats);
-}
-
-/** Both parts are plain values; TaskState owns its TaskInstance (spawned
- *  tasks have no host TaskGraph backing), so the copy is deep. */
-struct Dispatcher::Snap final : ComponentSnap
-{
-    DispatcherState state;
-    std::optional<SpatialPolicy> spatial;
-};
-
-std::unique_ptr<ComponentSnap>
-Dispatcher::saveState() const
-{
-    auto s = std::make_unique<Snap>();
-    s->state = *this;
-    s->spatial = spatial_;
-    return s;
-}
-
-void
-Dispatcher::restoreState(const ComponentSnap& snap)
-{
-    const Snap& s = snapCast<Snap>(snap);
-    static_cast<DispatcherState&>(*this) = s.state;
-    spatial_ = s.spatial;
 }
 
 } // namespace ts

@@ -77,8 +77,8 @@ struct DispatcherConfig
 
 /**
  * Every piece of the dispatcher's mutable mechanism state, as one
- * copyable value: a snapshot copies it whole.  Dispatcher inherits
- * it privately, so the members keep their names inside it.
+ * plain value.  Dispatcher inherits it privately, so the members keep
+ * their names inside it.
  */
 struct DispatcherState
 {
@@ -227,12 +227,7 @@ class Dispatcher : public Ticked, private DispatcherState
      *  probe). */
     std::size_t readyQueueDepth() const;
 
-    std::unique_ptr<ComponentSnap> saveState() const override;
-    void restoreState(const ComponentSnap& snap) override;
-
   private:
-    struct Snap;
-
     void processInbox(Tick now);
     void onComplete(const CompleteMsg& msg, Tick now);
     void onSpawn(const SpawnMsg& msg, Tick now);

@@ -6,10 +6,9 @@
  *
  * The dispatcher holds one of these exactly when it runs
  * SchedPolicy::Spatial; the online policies carry no state and live
- * in Dispatcher::pickLane's switch.  The class is a plain value, so a
- * dispatcher snapshot copies it whole.  Every decision reads only
+ * in Dispatcher::pickLane's switch.  Every decision reads only
  * simulated state, which keeps forwarding and spills deterministic
- * across host parallelism and snapshot/fork (DESIGN.md §10).
+ * across host parallelism (DESIGN.md §10).
  */
 
 #ifndef TS_TASK_SPATIAL_POLICY_HH

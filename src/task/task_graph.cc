@@ -240,23 +240,36 @@ criticalPathOver(const std::vector<DepEdge>& edges,
     for (const Tick s : service)
         r.serialCycles += s;
 
-    // Longest path ending at each task, finalized in topological
-    // order (edges may point in either uid direction now).  Ties keep
-    // the first producer in edge order, so the path does not depend
-    // on which topological order is walked.
-    std::vector<std::vector<TaskId>> preds(n);
+    // Earliest start and end of each task, finalized in topological
+    // order (edges may point in either uid direction now).  A barrier
+    // edge starts its consumer at the producer's end.  A pipeline
+    // consumer streams its producer's output as it is made, so it may
+    // start with the producer but not end before it.  Ties keep the
+    // first producer in edge order, so the path does not depend on
+    // which topological order is walked.
+    std::vector<std::vector<const DepEdge*>> preds(n);
     for (const DepEdge& e : edges)
-        preds[e.consumer].push_back(e.producer);
+        preds[e.consumer].push_back(&e);
 
+    std::vector<Tick> start(n, 0);
     std::vector<Tick> dist(n, 0);
     std::vector<std::int64_t> pred(n, -1);
     for (const TaskId i : topo) {
-        dist[i] = service[i];
-        for (const TaskId p : preds[i]) {
-            const Tick through = dist[p] + service[i];
-            if (through > dist[i]) {
-                dist[i] = through;
+        for (const DepEdge* e : preds[i]) {
+            const TaskId p = e->producer;
+            const Tick t =
+                e->kind == DepKind::Pipeline ? start[p] : dist[p];
+            if (t > start[i]) {
+                start[i] = t;
                 pred[i] = p;
+            }
+        }
+        dist[i] = start[i] + service[i];
+        for (const DepEdge* e : preds[i]) {
+            if (e->kind == DepKind::Pipeline &&
+                dist[e->producer] > dist[i]) {
+                dist[i] = dist[e->producer];
+                pred[i] = e->producer;
             }
         }
     }

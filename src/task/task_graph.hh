@@ -217,8 +217,10 @@ struct CritPathResult
 /**
  * Dependence-weighted longest path over @p edges, weighting each task
  * by its measured service time in @p spans (tasks missing a span
- * weigh zero).  @p topo lists every task in a topological order of
- * @p edges; the result does not depend on which order.
+ * weigh zero).  A Barrier edge runs producer end to consumer start; a
+ * Pipeline edge runs start to start, and its consumer ends no earlier
+ * than its producer.  @p topo lists every task in a topological order
+ * of @p edges; the result does not depend on which order.
  */
 CritPathResult criticalPathOver(const std::vector<DepEdge>& edges,
                                 const std::vector<TaskId>& topo,

@@ -142,27 +142,6 @@ class TaskTypeRegistry
     double estimateWork(const MemImage& img,
                         const TaskInstance& inst) const;
 
-    /**
-     * Registration watermark, for snapshot/fork.  The registry is
-     * append-only, so rolling back to a mark (truncating everything
-     * registered after it) restores the exact earlier state without
-     * deep-copying type bodies (std::function kernels).  types and
-     * dfgs advance independently: builtin types own no DFG.
-     */
-    struct Mark
-    {
-        std::size_t types = 0;
-        std::size_t dfgs = 0;
-    };
-
-    Mark
-    mark() const
-    {
-        return Mark{types_.size(), dfgs_.size()};
-    }
-
-    void rollback(const Mark& m);
-
   private:
     Mapper mapper_;
     std::vector<std::unique_ptr<TaskType>> types_;

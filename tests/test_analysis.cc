@@ -22,6 +22,7 @@
 #include "accel/delta.hh"
 #include "analysis/json.hh"
 #include "analysis/report.hh"
+#include "driver/sweep.hh"
 #include "sim/logging.hh"
 #include "trace/accounting.hh"
 #include "workloads/workload.hh"
@@ -433,6 +434,22 @@ TEST(AnalysisAttribution, StaticBaselineRespectsCritPathBound)
     // The baseline recovers nothing: no pipes, no multicast.
     EXPECT_EQ(s.get("dispatcher.pipesActivated"), 0.0);
     EXPECT_EQ(s.get("delta.attrib.multicast.fillLines"), 0.0);
+}
+
+TEST(AnalysisAttribution, CritPathBoundNeverExceedsCycles)
+{
+    // A pipelined consumer overlaps its producer, so an activated
+    // pipe edge runs start to start: the bound stays a lower bound
+    // on every preset, pipelined ones included.
+    for (const Wk w : allWorkloads()) {
+        for (const std::string& preset : driver::sweepConfigNames()) {
+            const StatSet s = runSuiteWorkload(
+                w, driver::sweepConfig(preset).cfg, 0.25);
+            EXPECT_LE(s.get("delta.critpath.boundCycles"),
+                      s.get("delta.cycles"))
+                << wkName(w) << " under " << preset;
+        }
+    }
 }
 
 TEST(AnalysisAttribution, ProbesInactiveOutsideRun)

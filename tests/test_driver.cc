@@ -333,13 +333,38 @@ TEST(SweepTest, EmptyAxisFailsFast)
     spec.workloads.clear();
     EXPECT_THROW(Sweep{spec}, FatalError);
 
+    // An empty seeds axis is not an error: it runs spec.seed.
     spec = smallSpec();
     spec.seeds.clear();
-    EXPECT_THROW(Sweep{spec}, FatalError);
+    spec.seed = 5;
+    const Sweep seeded{spec};
+    for (const RunPoint& p : seeded.points())
+        EXPECT_EQ(p.seed, 5u);
 
     spec = smallSpec();
     spec.baseline = "nonexistent";
     EXPECT_THROW(Sweep{spec}, FatalError);
+}
+
+TEST(SweepTest, EmptyAxesRunTheInheritedSeedAndScale)
+{
+    // A library caller that sets only the RunOptions fields gets
+    // exactly that seed and scale, not the axes' old {7}/{1.0}.
+    SweepSpec spec;
+    spec.workloads = {Wk::Spmv};
+    spec.configs = sweepConfigsFromList("static");
+    spec.seed = 3;
+    spec.scale = 0.5;
+    Sweep sweep(spec);
+    ASSERT_EQ(sweep.points().size(), 1u);
+    EXPECT_EQ(sweep.points()[0].tag(), "spmv_static_l8_s3_x0.5");
+    const SweepReport report = sweep.run();
+    ASSERT_EQ(report.runs.size(), 1u);
+    EXPECT_TRUE(report.runs[0].ok());
+    EXPECT_EQ(report.runs[0].point.seed, 3u);
+    EXPECT_EQ(report.runs[0].point.scale, 0.5);
+    EXPECT_EQ(report.spec.seeds, (std::vector<std::uint64_t>{3}));
+    EXPECT_EQ(report.spec.scales, (std::vector<double>{0.5}));
 }
 
 TEST(SweepTest, MissingBenchJsonDirFailsBeforeAnyRun)
@@ -504,7 +529,11 @@ TEST(OptionTableTest, SweepCommandLineKeepsItsSpellings)
 
     const GridSettings def = parseSweep({});
     EXPECT_EQ(def.progress, "auto");
-    EXPECT_EQ(def.spec().seeds, (std::vector<std::uint64_t>{7}));
+    const Sweep defSweep{def.spec()};
+    for (const RunPoint& p : defSweep.points()) {
+        EXPECT_EQ(p.seed, 7u);
+        EXPECT_EQ(p.scale, 1.0);
+    }
     EXPECT_EQ(def.spec().configs.size(), 2u);
 
     EXPECT_FALSE(SweepSpec{}.progressEnabled())

@@ -1,20 +1,19 @@
 /**
  * @file
- * Snapshot/fork tests: the enforcement arm of the copy contract in
- * DESIGN.md §7.  A Delta snapshotted at its pristine
+ * Snapshot/fork tests (DESIGN.md §7).  Delta::restore() rebuilds the
+ * accelerator from its config, so a Delta snapshotted at its pristine
  * post-construction point and restored before each run must produce
  * byte-identical statistics and functional results to a Delta built
  * from scratch — for every workload, under the static baseline, the
- * full TaskStream config, work stealing and spatial mapping (the
- * presets carrying steal and spatial dispatcher state), with the
+ * full TaskStream config, work stealing and spatial mapping, with the
  * delta.timeline.* series sampled, and across repeated restores of
  * one snapshot.  A restore also restarts the host profile, so a
- * forked run never reports its predecessors' host time.
+ * forked run never reports its predecessors' host time.  A snapshot
+ * of a Delta that is no longer as constructed is refused, since
+ * restoring it would silently return to a different state.
  *
- * Also covers the registry watermark (mark/rollback) that lets the
- * append-only TaskTypeRegistry rewind across forks, and the
- * shortest-round-trip JSON number formatting the cache's byte-replay
- * guarantee leans on.
+ * Also covers the shortest-round-trip JSON number formatting the
+ * cache's byte-replay guarantee leans on.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "accel/delta.hh"
 #include "driver/sweep.hh"
 #include "sim/stats.hh"
-#include "task/task_types.hh"
 #include "workloads/workload.hh"
 
 using namespace ts;
@@ -151,37 +149,30 @@ TEST(SnapshotHostProfileTest, RestoreRestartsTheProfile)
 }
 
 // ---------------------------------------------------------------------
-// Registry watermark.
+// Snapshot point.
 // ---------------------------------------------------------------------
 
-TEST(RegistryRollbackTest, RollbackForgetsTypesRegisteredSinceMark)
+TEST(SnapshotPointTest, SnapshotOfATouchedDeltaIsFatal)
 {
-    Delta delta(DeltaConfig::delta());
-    const TaskTypeRegistry::Mark m = delta.registry().mark();
-
+    // restore() returns to the as-constructed state, so a snapshot
+    // taken later would silently restore to the wrong state.
     SuiteParams sp;
     sp.scale = 0.25;
     sp.seed = 7;
     auto wl = makeWorkload(Wk::Spmv, sp);
+
+    Delta built(DeltaConfig::delta());
     TaskGraph graph;
-    wl->build(delta, graph);
+    wl->build(built, graph);
+    EXPECT_THROW(built.snapshot(), FatalError) << "after a build";
 
-    const TaskTypeRegistry::Mark after = delta.registry().mark();
-    EXPECT_GT(after.types, m.types)
-        << "building a workload should register task types";
+    Delta ran(DeltaConfig::delta());
+    ASSERT_TRUE(resultOf(ran, Wk::Spmv).correct);
+    EXPECT_THROW(ran.snapshot(), FatalError) << "after a run";
 
-    delta.registry().rollback(m);
-    const TaskTypeRegistry::Mark back = delta.registry().mark();
-    EXPECT_EQ(back.types, m.types);
-    EXPECT_EQ(back.dfgs, m.dfgs);
-}
-
-TEST(RegistryRollbackTest, RollbackToFutureMarkPanics)
-{
-    Delta delta(DeltaConfig::delta());
-    TaskTypeRegistry::Mark m = delta.registry().mark();
-    m.types += 1;
-    EXPECT_THROW(delta.registry().rollback(m), PanicError);
+    Delta stepped(DeltaConfig::delta());
+    stepped.sim().step(3);
+    EXPECT_THROW(stepped.snapshot(), FatalError) << "after 3 cycles";
 }
 
 // ---------------------------------------------------------------------

@@ -69,19 +69,17 @@ main(int argc, char** argv)
             return 0;
         }
 
-        const std::size_t nw = spec.workloads.size();
-        const std::size_t nc = spec.configs.size();
-        const std::size_t ns = spec.seeds.size();
-        const std::size_t nx = spec.scales.size();
         driver::Sweep sweep(std::move(spec));
         if (!grid.quiet) {
+            const driver::SweepSpec& s = sweep.spec();
             const std::string jobs =
                 grid.jobs > 0 ? std::to_string(grid.jobs) : "auto";
             std::fprintf(stderr,
                          "delta-sweep: %zu runs (%zu workloads x %zu "
                          "configs x %zu seeds x %zu scales), -j %s\n",
-                         sweep.points().size(), nw, nc, ns, nx,
-                         jobs.c_str());
+                         sweep.points().size(), s.workloads.size(),
+                         s.configs.size(), s.seeds.size(),
+                         s.scales.size(), jobs.c_str());
         }
         const driver::SweepReport report = sweep.run();
 
