@@ -39,11 +39,10 @@ DeltaConfig
 DeltaConfig::spatial(std::uint32_t lanes)
 {
     // The AOT mapper replaces both runtime recovery mechanisms that
-    // move tasks (pipeline holds, stealing): placement is decided
-    // before the first dispatch and producers stream to their mapped
-    // consumers directly.  Multicast stays on — shared read-only
-    // inputs are orthogonal to the producer/consumer edges the mapper
-    // forwards.
+    // move tasks (pipeline holds, stealing): forwarding consumers and
+    // narrow-fan-in forwarders are placed before the first dispatch
+    // and producers stream to the consumers directly.  Multicast stays on — shared read-only inputs are
+    // orthogonal to the producer/consumer edges the mapper forwards.
     DeltaConfig cfg;
     cfg.lanes = lanes;
     cfg.policy = SchedPolicy::Spatial;
@@ -198,7 +197,10 @@ Delta::run(const TaskGraph& graph)
 
     // Ahead-of-time spatial mapping: plan lane placement from the
     // fully-known graph before the first dispatch.  The plan is a
-    // pure function of (graph, image, registry, mesh).
+    // pure function of (graph, image, registry, mesh).  Only the
+    // tasks the plan marks pinned (forwarding consumers and
+    // narrow-fan-in forwarders) wait for their planned lane; every
+    // other task is placed online.
     spatial::SpatialPlan plan;
     if (cfg_.policy == SchedPolicy::Spatial) {
         std::vector<std::uint32_t> laneNodes;
@@ -207,7 +209,12 @@ Delta::run(const TaskGraph& graph)
         plan = spatial::mapTaskGraph(graph, m.img, m.registry, *m.noc,
                                      laneNodes,
                                      cfg_.nocLinks.linkWords);
-        m.dispatcher->setSpatialPlan(plan.lane);
+        std::vector<std::int32_t> pinned(plan.lane.size(), -1);
+        for (std::size_t uid = 0; uid < pinned.size(); ++uid) {
+            if (plan.pinned[uid])
+                pinned[uid] = plan.lane[uid];
+        }
+        m.dispatcher->setSpatialPlan(std::move(pinned));
     }
 
     m.dispatcher->loadGraph(graph);

@@ -44,9 +44,9 @@ struct DeltaConfig
      *  (SchedPolicy::Spatial only, DESIGN.md §10). */
     std::uint64_t spatialBufferWords = 1u << 15;
 
-    /** Spawned tasks inherit their spawner's mapped lane unless that
-     *  lane's planned work exceeds this factor times the mean, in
-     *  which case they remap to the least-loaded lane. */
+    /** A spawned transfer heir inherits its spawner's lane unless
+     *  that lane's queued work exceeds this factor times the mean,
+     *  in which case it remaps to the least-loaded lane. */
     double spatialRemapFactor = 1.5;
 
     LaneConfig lane;
@@ -119,8 +119,10 @@ struct DeltaConfig
     /** Equivalent static-parallel baseline. */
     static DeltaConfig staticBaseline(std::uint32_t lanes = 8);
 
-    /** Ahead-of-time spatial mapping: producer/consumer co-location
-     *  with lane-to-lane forwarding (DESIGN.md §10). */
+    /** Ahead-of-time spatial mapping: forwarding consumers (and
+     *  narrow-fan-in forwarders) pinned to planned lanes,
+     *  lane-to-lane forwarding into them, every other task placed
+     *  online (DESIGN.md §10). */
     static DeltaConfig spatial(std::uint32_t lanes = 8);
 };
 

@@ -198,6 +198,7 @@ printComparison(std::ostream& os,
         "delta.attrib.spatial.forwardWords",
         "delta.spatial.forwards",
         "delta.spatial.spills",
+        "delta.spatial.pinned",
     };
     os << "Comparison (baseline = " << labels[0] << "):\n";
     os << "  " << std::left << std::setw(38) << "series"

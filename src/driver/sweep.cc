@@ -223,7 +223,10 @@ canonicalCell(const SweepSpec& spec, const RunPoint& point)
     // the load-balance attribution is signed.
     // v7: delta.critpath.* runs activated pipeline edges start to
     // start, so pipelined runs report a lower bound.
-    os << "v7 wk=" << wkName(point.workload)
+    // v8: spatial pins only forwarding consumers, narrow-fan-in
+    // forwarders and spawned heirs (different spatial cycles) and
+    // reports delta.spatial.pinned.
+    os << "v8 wk=" << wkName(point.workload)
        << " config=" << point.config << " seed=" << point.seed
        << " scale=" << jsonNumber(point.scale) << " | "
        << canonicalConfig(pointConfig(spec, point));

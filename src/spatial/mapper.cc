@@ -22,7 +22,6 @@ struct CommEdge
     TaskId producer = 0;
     TaskId consumer = 0;
     std::uint64_t words = 0;
-    bool forwardable = false;
 };
 
 /** Balance weights tried, as multiples of the comm/work scale.  0 is
@@ -43,6 +42,7 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
         static_cast<std::uint32_t>(laneNodes.size());
     SpatialPlan plan;
     plan.lane.assign(n, -1);
+    plan.pinned.assign(n, false);
     if (n == 0 || lanes == 0)
         return plan;
     if (linkWords == 0)
@@ -71,9 +71,10 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
     std::vector<CommEdge> comm;
     comm.reserve(g.edges().size());
     std::vector<std::vector<std::uint32_t>> inEdges(n);
+    std::vector<std::pair<TaskId, TaskId>> forwards; // (consumer, producer)
     double totalComm = 0.0;
     for (const DepEdge& e : g.edges()) {
-        CommEdge ce{e.producer, e.consumer, lineWords, false};
+        CommEdge ce{e.producer, e.consumer, lineWords};
         const TaskInstance& prod = g.task(e.producer);
         const TaskInstance& cons = g.task(e.consumer);
         std::uint64_t fwdWords = 0;
@@ -89,7 +90,7 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
         }
         if (fwdWords > 0) {
             ce.words = fwdWords;
-            ce.forwardable = true;
+            forwards.emplace_back(e.consumer, e.producer);
             ++plan.forwardableEdges;
             plan.forwardableWords += fwdWords;
         }
@@ -97,6 +98,31 @@ mapTaskGraph(const TaskGraph& g, const MemImage& img,
         inEdges[e.consumer].push_back(
             static_cast<std::uint32_t>(comm.size()));
         comm.push_back(ce);
+    }
+
+    // Pin set.  A consumer of a forwardable edge is pinned, so its
+    // producers know where to stream.  Its forwarders are pinned too
+    // when there are at most as many as lanes: the plan can then
+    // give each its own lane beside or near the consumer (msort's
+    // merge tree).  A wider fan-in (a reduction sink fed by dozens of
+    // producers, as in tricount and join) makes the plan stack
+    // forwarders on the sink's lane, where they queue; those stay
+    // online and are balanced at run time.
+    std::sort(forwards.begin(), forwards.end());
+    forwards.erase(std::unique(forwards.begin(), forwards.end()),
+                   forwards.end());
+    for (std::size_t i = 0; i < forwards.size();) {
+        std::size_t j = i;
+        while (j < forwards.size() &&
+               forwards[j].first == forwards[i].first) {
+            ++j;
+        }
+        plan.pinned[forwards[i].first] = true;
+        if (j - i <= lanes) {
+            for (std::size_t k = i; k < j; ++k)
+                plan.pinned[forwards[k].second] = true;
+        }
+        i = j;
     }
 
     // Affinity is measured in words, load in cycles; `scale` converts

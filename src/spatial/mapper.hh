@@ -36,9 +36,15 @@ namespace spatial
 /** The mapper's output: a static lane per task plus plan metadata. */
 struct SpatialPlan
 {
-    /** Planned lane per task uid (-1: unmapped, dispatcher falls
-     *  back to round-robin). */
+    /** Planned lane per task uid. */
     std::vector<std::int32_t> lane;
+
+    /** Per task uid: whether the dispatcher pins it to its planned
+     *  lane.  Pinned are the consumers of forwardable edges (their
+     *  producers must know where to stream) and the forwarders of a
+     *  consumer with no more forwarders than lanes; every other
+     *  task is placed online. */
+    std::vector<bool> pinned;
 
     /** Predicted makespan of the winning placement's list schedule. */
     Tick predictedMakespan = 0;

@@ -153,7 +153,7 @@ Dispatcher::loadGraph(const TaskGraph& graph)
 void
 Dispatcher::pushReady(TaskId id)
 {
-    if (spatial_) {
+    if (spatial_ && spatial_->pinned(id)) {
         laneReady_[spatial_->plannedLane(id)].push_back(
             PinnedReady{readySeq_++, id});
     } else {
@@ -332,13 +332,10 @@ Dispatcher::onSpawn(const SpawnMsg& msg, Tick now)
         states_.push_back(std::move(ns));
     }
     tasksSpawned_ += set.tasks.size();
-    if (spatial_) {
-        spatial_->planSpawned(*this, msg.spawner, base,
-                              set.tasks.size(),
-                              set.transferTo != SpawnSet::kNoTransfer
-                                  ? static_cast<std::int64_t>(
-                                        resolve(set.transferTo))
-                                  : -1);
+    if (spatial_ && set.transferTo != SpawnSet::kNoTransfer) {
+        const TaskId heir = resolve(set.transferTo);
+        if (heir >= base)
+            spatial_->pinHeir(*this, msg.spawner, heir);
     }
 
     for (const SpawnSet::Edge& e : set.edges) {
@@ -641,7 +638,8 @@ Dispatcher::pickLane(TaskId id,
         }
         return best;
       }
-      case SchedPolicy::WorkAware: {
+      case SchedPolicy::WorkAware:
+      case SchedPolicy::Spatial: { // unpinned tasks are placed online
         std::int32_t best = -1;
         double bestWork = 0;
         for (std::size_t l = 0; l < n; ++l) {
@@ -655,8 +653,6 @@ Dispatcher::pickLane(TaskId id,
         }
         return best;
       }
-      case SchedPolicy::Spatial:
-        break; // pinned: dispatchPinned places these tasks
     }
     return -1;
 }
@@ -770,9 +766,11 @@ Dispatcher::tryDispatchHead(Tick now)
     }
 
     // 1. Pipeline closure (TaskStream) or the single task (baseline).
-    std::vector<TaskId> closure = cfg_.enablePipeline
-                                      ? pipelineClosure(root)
-                                      : std::vector<TaskId>{root};
+    // Spatial ignores pipelining: a closure could pull in a pinned
+    // consumer and place it off the lane its forwarders stream to.
+    const bool pipelined = cfg_.enablePipeline && !spatial_;
+    std::vector<TaskId> closure = pipelined ? pipelineClosure(root)
+                                            : std::vector<TaskId>{root};
 
     // Cap the batch at the total free queue slots (members may share
     // lanes; intra-batch uid order keeps per-lane queues topological,
@@ -807,7 +805,7 @@ Dispatcher::tryDispatchHead(Tick now)
     const bool withinHold =
         (allLanesBusy && waited < kPipelineHoldCycles) ||
         waited < kPipelineGraceCycles;
-    if (cfg_.enablePipeline && withinHold) {
+    if (pipelined && withinHold) {
         for (const TaskId member : closure) {
             for (std::size_t ei : states_[member].outEdges) {
                 const EdgeState& es = edges_[ei];
@@ -851,7 +849,7 @@ Dispatcher::tryDispatchHead(Tick now)
     return true;
 }
 
-void
+std::uint32_t
 Dispatcher::dispatchPinned(Tick now)
 {
     // A pinned task waits for its own lane's queue slot without
@@ -859,8 +857,9 @@ Dispatcher::dispatchPinned(Tick now)
     // so the oldest dispatchable task is the oldest head among the
     // lanes with a free slot: an O(lanes) check per dispatch that
     // builds nothing for a full lane.
-    for (std::uint32_t n = 0;
-         n < kDispatchPerCycle && sendQ_.size() < kSendQueueLimit; ++n) {
+    std::uint32_t n = 0;
+    for (; n < kDispatchPerCycle && sendQ_.size() < kSendQueueLimit;
+         ++n) {
         std::int32_t lane = -1;
         for (std::size_t l = 0; l < laneReady_.size(); ++l) {
             if (laneQueued_[l] >= cfg_.laneQueueCap)
@@ -880,12 +879,14 @@ Dispatcher::dispatchPinned(Tick now)
             }
         }
         if (lane < 0)
-            return;
+            break;
         const TaskId id = laneReady_[lane].front().uid;
         laneReady_[lane].pop_front();
         states_[id].lane = lane;
         commitBatch({id}, states_[id].readyAt, now);
+        ++pinnedDispatched_;
     }
+    return n;
 }
 
 void
@@ -905,7 +906,8 @@ Dispatcher::commitBatch(const std::vector<TaskId>& batch, Tick readyAt,
         m.dispatchedAt = now;
         // Solo dispatches are migratable between lanes: no pipeline
         // co-dispatch batch whose intra-lane uid order must survive.
-        // Spatial tasks never migrate — the plan pinned their lane.
+        // Spatial tasks never migrate — forwarding decisions name the
+        // lanes fixed at dispatch.
         m.stealable = cfg_.steal != StealPolicy::None &&
                       batch.size() == 1 && !spatial_;
         msgs.emplace(id, std::move(m));
@@ -1038,18 +1040,17 @@ Dispatcher::tick(Tick now)
     }
 
     // Dispatch ready tasks (bounded per cycle; keep the send queue
-    // from growing without bound).  The online policies and the
-    // static baseline dispatch from the head of one ready queue.
-    if (spatial_) {
-        dispatchPinned(now);
-    } else {
-        std::uint32_t dispatches = kDispatchPerCycle;
-        while (dispatches > 0 && !readyQ_.empty() &&
-               sendQ_.size() < kSendQueueLimit) {
-            if (!tryDispatchHead(now))
-                break;
-            --dispatches;
-        }
+    // from growing without bound).  Spatial's pinned tasks spend the
+    // budget first; every other task dispatches from the head of one
+    // ready queue.
+    std::uint32_t dispatches = kDispatchPerCycle;
+    if (spatial_)
+        dispatches -= dispatchPinned(now);
+    while (dispatches > 0 && !readyQ_.empty() &&
+           sendQ_.size() < kSendQueueLimit) {
+        if (!tryDispatchHead(now))
+            break;
+        --dispatches;
     }
 
     const std::size_t readyDepth = readyQueueDepth();
@@ -1159,8 +1160,11 @@ Dispatcher::reportStats(StatSet& stats) const
         stats.set("delta.attrib.steal.imbalanceCyclesRecovered",
                   stealShadowMax - actualMax);
     }
-    if (spatial_)
+    if (spatial_) {
+        stats.set("delta.spatial.pinned",
+                  static_cast<double>(pinnedDispatched_));
         spatial_->reportStats(stats);
+    }
 }
 
 } // namespace ts

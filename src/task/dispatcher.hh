@@ -43,9 +43,12 @@ enum class SchedPolicy : std::uint8_t
     Static,   ///< owner-compute: lane = uid % lanes (baseline)
     DynCount, ///< least queued task count
     WorkAware, ///< least outstanding estimated work (TaskStream)
-    /** Ahead-of-time spatial plan: tasks pin to mapper-assigned
-     *  lanes; producer outputs stream lane-to-lane into consumer
-     *  landing zones instead of round-tripping through DRAM. */
+    /** Ahead-of-time spatial plan: the tasks the mapper marks
+     *  pinned (consumers of forwardable edges, narrow-fan-in
+     *  forwarders) wait for their planned lanes, and producer
+     *  outputs stream lane-to-lane into the consumers' landing zones
+     *  instead of round-tripping through DRAM; every other task is
+     *  placed as WorkAware places it, without pipelining. */
     Spatial
 };
 
@@ -120,9 +123,10 @@ struct DispatcherState
     std::vector<EdgeState> edges_;
     std::vector<GroupState> groups_;
     std::deque<TaskId> readyQ_;
-    /** Spatial only: ready tasks in their planned lane's FIFO, in
-     *  ready order (readyQ_ stays empty).  seq numbers every entry,
-     *  so the oldest head across lanes is the oldest ready task. */
+    /** Spatial only: ready pinned tasks in their planned lane's FIFO,
+     *  in ready order (unpinned ones go to readyQ_).  seq numbers
+     *  every entry, so the oldest head across lanes is the oldest
+     *  ready pinned task. */
     struct PinnedReady
     {
         std::uint64_t seq = 0;
@@ -130,6 +134,9 @@ struct DispatcherState
     };
     std::vector<std::deque<PinnedReady>> laneReady_;
     std::uint64_t readySeq_ = 0;
+    /** Tasks issued through dispatchPinned (spawned heirs
+     *  included). */
+    std::uint64_t pinnedDispatched_ = 0;
     std::deque<Packet> sendQ_;
 
     std::vector<std::uint32_t> laneQueued_;
@@ -170,7 +177,8 @@ struct DispatcherState
  * ready set, closure and shared-group firing, message handling — with
  * the lane choice in pickLane's switch.  Only SchedPolicy::Spatial
  * carries policy state, held in spatial_; its pinned tasks queue per
- * planned lane (dispatchPinned) instead of in the one ready queue.
+ * planned lane (dispatchPinned) instead of in the one ready queue,
+ * and its unpinned ones take the WorkAware pick.
  */
 class Dispatcher : public Ticked, private DispatcherState
 {
@@ -186,9 +194,9 @@ class Dispatcher : public Ticked, private DispatcherState
     void loadGraph(const TaskGraph& graph);
 
     /**
-     * Install the AOT spatial plan (per-uid lanes) before loadGraph.
-     * Tasks pin to their planned lane; uids beyond the plan (or
-     * planned -1) fall back to uid % lanes.
+     * Install the spatial pins (per-uid lanes) before loadGraph.
+     * A task with a lane waits for that lane; uids beyond the plan
+     * (or planned -1) take the WorkAware pick.
      */
     void setSpatialPlan(std::vector<std::int32_t> lanes);
 
@@ -241,9 +249,9 @@ class Dispatcher : public Ticked, private DispatcherState
     /** Queue a task whose dependences are all satisfied. */
     void pushReady(TaskId id);
     bool tryDispatchHead(Tick now);
-    /** Spatial: dispatch the oldest ready tasks whose planned lane has
-     *  a free queue slot. */
-    void dispatchPinned(Tick now);
+    /** Spatial: dispatch the oldest ready pinned tasks whose planned
+     *  lane has a free queue slot; returns how many it issued. */
+    std::uint32_t dispatchPinned(Tick now);
     /** Build, rewrite and queue the dispatch messages of @p batch
      *  (lanes already chosen, uid order); @p readyAt is when the
      *  batch's root became ready. */

@@ -21,31 +21,27 @@ SpatialPolicy::SpatialPolicy(std::vector<std::uint32_t> laneNodes,
 std::uint32_t
 SpatialPolicy::plannedLane(TaskId id) const
 {
-    if (id < plannedLane_.size() && plannedLane_[id] >= 0)
-        return static_cast<std::uint32_t>(plannedLane_[id]);
-    return id % static_cast<std::uint32_t>(laneNodes_.size());
+    TS_ASSERT(pinned(id), "task ", id, " is not pinned");
+    return static_cast<std::uint32_t>(plannedLane_[id]);
 }
 
 void
-SpatialPolicy::planSpawned(const DispatcherState& d, TaskId spawner,
-                           std::size_t base, std::size_t count,
-                           std::int64_t heir)
+SpatialPolicy::pinHeir(const DispatcherState& d, TaskId spawner,
+                       TaskId heir)
 {
-    if (count == 0)
-        return;
-    if (plannedLane_.size() < base)
-        plannedLane_.resize(base, -1);
-    plannedLane_.resize(base + count, -1);
+    if (plannedLane_.size() <= heir)
+        plannedLane_.resize(heir + 1, -1);
 
-    // The transfer heir inherits the spawner's planned lane: the AOT
-    // plan put the spawner where its (now transferred) successors
-    // want their producer, and sibling outputs forward into the heir
-    // over the NoC regardless of where the siblings land.  Escape
-    // hatch: when the inherited lane is overloaded relative to the
-    // mean, the heir moves to the least-loaded lane (lowest index
-    // wins, keeping the decision deterministic).
+    // The transfer heir needs a known landing lane, because the
+    // siblings' outputs forward into it wherever the siblings land;
+    // it inherits the spawner's dispatch lane.  Escape hatch: when
+    // that lane is overloaded relative to the mean, the heir moves
+    // to the least-loaded lane (lowest index wins, keeping the
+    // decision deterministic).  The siblings are fresh parallel work
+    // and stay online.
     const std::vector<double>& laneWork = d.laneWork_;
-    std::uint32_t inherit = plannedLane(spawner);
+    TS_ASSERT(d.states_[spawner].lane >= 0);
+    auto inherit = static_cast<std::uint32_t>(d.states_[spawner].lane);
     double mean = 0.0;
     for (const double w : laneWork)
         mean += w;
@@ -61,34 +57,7 @@ SpatialPolicy::planSpawned(const DispatcherState& d, TaskId spawner,
             ++remaps_;
         }
     }
-
-    // Non-heir siblings are fresh parallel work; serializing them on
-    // the spawner's lane would forfeit the recursion's parallelism.
-    // Spread them over the least-loaded lanes, tracking this call's
-    // own placements by estimated work (deterministic: laneWork_ and
-    // workEst are simulated state).
-    std::vector<double> load = laneWork;
-    const bool heirLocal =
-        heir >= 0 && static_cast<std::size_t>(heir) >= base &&
-        static_cast<std::size_t>(heir) < base + count;
-    if (heirLocal) {
-        plannedLane_[static_cast<std::size_t>(heir)] =
-            static_cast<std::int32_t>(inherit);
-        load[inherit] +=
-            d.states_[static_cast<std::size_t>(heir)].workEst;
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t id = base + k;
-        if (heirLocal && static_cast<std::size_t>(heir) == id)
-            continue;
-        std::uint32_t best = 0;
-        for (std::uint32_t l = 1; l < load.size(); ++l) {
-            if (load[l] < load[best])
-                best = l;
-        }
-        plannedLane_[id] = static_cast<std::int32_t>(best);
-        load[best] += d.states_[id].workEst;
-    }
+    plannedLane_[heir] = static_cast<std::int32_t>(inherit);
 }
 
 void
@@ -125,9 +94,11 @@ SpatialPolicy::resolveProducer(const DispatcherState& d, TaskId id,
                 const bool eligible =
                     spatial::landingEligibleInput(in) &&
                     cs.inst.inputGroup[p] == kNoGroup;
-                if (!eligible) {
+                if (!eligible || !pinned(c)) {
                     // Gather/CSR reads have no statically known
-                    // range: assume they may touch this output.
+                    // range: assume they may touch this output.  An
+                    // online consumer's lane is unknown until its own
+                    // dispatch, so it reads the DRAM write-back.
                     if (in.kind != StreamDesc::Kind::Linear ||
                         spatial::outputFeedsInput(out, in)) {
                         touched = true;

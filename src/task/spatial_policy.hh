@@ -1,8 +1,8 @@
 /**
  * @file
- * The Spatial dispatch policy's state and logic: the ahead-of-time
- * lane plan, the landing groups producer dispatches open, and the
- * per-lane landing-buffer budget.
+ * The Spatial dispatch policy's state and logic: the pinned lanes of
+ * the ahead-of-time plan, the landing groups producer dispatches
+ * open, and the per-lane landing-buffer budget.
  *
  * The dispatcher holds one of these exactly when it runs
  * SchedPolicy::Spatial; the online policies carry no state and live
@@ -41,22 +41,26 @@ class SpatialPolicy
     SpatialPolicy(std::vector<std::uint32_t> laneNodes,
                   std::uint64_t bufferWords, double remapFactor);
 
-    /** Install the AOT plan (lane per uid, -1 = unplanned). */
+    /** Install the pinned lanes (lane per uid, -1 = placed online
+     *  by the WorkAware pick). */
     void setPlan(std::vector<std::int32_t> lanes)
     {
         plannedLane_ = std::move(lanes);
     }
 
-    /** The lane @p id is pinned to: its planned lane, else
-     *  uid % lanes. */
+    /** Whether @p id is pinned to a planned lane. */
+    bool pinned(TaskId id) const
+    {
+        return id < plannedLane_.size() && plannedLane_[id] >= 0;
+    }
+
+    /** The lane the pinned task @p id waits for. */
     std::uint32_t plannedLane(TaskId id) const;
 
-    /** Assign planned lanes to the @p count tasks spawned at uid
-     *  @p base by @p spawner (heir inheritance plus the
-     *  imbalance-remap escape hatch). */
-    void planSpawned(const DispatcherState& d, TaskId spawner,
-                     std::size_t base, std::size_t count,
-                     std::int64_t heir);
+    /** Pin @p heir, the newly spawned transfer heir of @p spawner,
+     *  to the spawner's dispatch lane (plus the imbalance-remap
+     *  escape hatch).  Its siblings are placed online. */
+    void pinHeir(const DispatcherState& d, TaskId spawner, TaskId heir);
 
     /** Producer-dispatch-time forwarding decisions: open landing
      *  groups and rewrite @p pm's outputs with spatial destinations
@@ -95,7 +99,8 @@ class SpatialPolicy
     std::uint64_t bufferWords_;
     double remapFactor_;
 
-    /** AOT plan: lane per uid; spawned tasks extend it at spawn. */
+    /** Pinned lane per uid (-1: online); spawned heirs extend it at
+     *  spawn. */
     std::vector<std::int32_t> plannedLane_;
     /** Landing groups keyed by (consumer uid << 3) | port — ordered,
      *  so a consumer's groups are a contiguous key range. */

@@ -7,7 +7,11 @@
  * pipeline-shaped ones actually save DRAM lines, repeated runs are
  * deterministic, and an undersized landing budget degrades to counted
  * spills instead of wrong answers.  A pinned task waiting for its
- * busy lane must not hold back ready tasks pinned to other lanes.
+ * busy lane must not hold back ready tasks pinned to other lanes;
+ * only forwarding consumers and narrow-fan-in forwarders are pinned,
+ * so a kernel with nothing to forward runs exactly as the online
+ * pick places it, pipelining never moves a pinned task, and spatial
+ * is never slower than delta.
  */
 
 #include <gtest/gtest.h>
@@ -238,6 +242,51 @@ TEST(SpatialMapper, IndependentTasksSpreadAcrossLanes)
     EXPECT_GE(used.size(), 4u);
 }
 
+TEST(SpatialMapper, PinsForwardersOnlyOfNarrowFanIns)
+{
+    MapperFixture f;
+    const auto ty = addAddType(f.reg, "scale");
+    // A pair of producers feeds one consumer (a merge); nine, one
+    // more than there are lanes, feed another (a reduction sink);
+    // one task forwards nothing.
+    auto fanIn = [&](int producers, Addr mid) {
+        std::vector<TaskId> ps;
+        for (int i = 0; i < producers; ++i) {
+            WriteDesc out;
+            out.base = mid + i * 16 * wordBytes;
+            ps.push_back(f.graph.addTask(
+                ty,
+                {StreamDesc::linear(Space::Dram, 0x1000 + i * 0x100, 16)},
+                {out}));
+        }
+        WriteDesc sink;
+        sink.base = mid + 0x8000;
+        const TaskId c = f.graph.addTask(
+            ty, {StreamDesc::linear(Space::Dram, mid, 16 * producers)},
+            {sink});
+        for (const TaskId p : ps)
+            f.graph.addBarrier(p, c);
+        ps.push_back(c);
+        return ps;
+    };
+    const std::vector<TaskId> merge = fanIn(2, 0x10000);
+    const std::vector<TaskId> reduce = fanIn(9, 0x20000);
+    WriteDesc out;
+    out.base = 0x40000;
+    const TaskId alone = f.graph.addTask(
+        ty, {StreamDesc::linear(Space::Dram, 0x1000, 16)}, {out});
+
+    const spatial::SpatialPlan plan = f.map();
+    ASSERT_EQ(plan.pinned.size(), f.graph.numTasks());
+    EXPECT_EQ(plan.forwardableEdges, 11u);
+    for (const TaskId t : merge)
+        EXPECT_TRUE(plan.pinned[t]) << "merge task " << t;
+    EXPECT_TRUE(plan.pinned[reduce.back()]);
+    for (std::size_t i = 0; i + 1 < reduce.size(); ++i)
+        EXPECT_FALSE(plan.pinned[reduce[i]]) << "reduce producer " << i;
+    EXPECT_FALSE(plan.pinned[alone]);
+}
+
 // --- pinned dispatch: no head-of-line blocking ---------------------------
 //
 // A bare dispatcher on a 2x2 mesh (dispatcher node 0, lanes on nodes
@@ -258,11 +307,12 @@ struct PinnedFixture
     std::vector<std::uint32_t> laneNodes{1, 2};
     std::unique_ptr<Dispatcher> disp;
 
-    PinnedFixture() : noc(sim, NocConfig{2, 2, 4, 2}), reg(FabricGeometry{})
+    explicit PinnedFixture(bool pipeline = false)
+        : noc(sim, NocConfig{2, 2, 4, 2}), reg(FabricGeometry{})
     {
         DispatcherConfig cfg;
         cfg.policy = SchedPolicy::Spatial;
-        cfg.enablePipeline = false;
+        cfg.enablePipeline = pipeline;
         cfg.laneQueueCap = 2;
         cfg.selfNode = kDispNode;
         cfg.memNode = kMemNode;
@@ -274,18 +324,29 @@ struct PinnedFixture
         sim.add(disp.get());
     }
 
+    /** Dispatch messages sent to @p lane since the last call, in
+     *  arrival order. */
+    std::vector<DispatchMsg>
+    dispatchesTo(std::uint32_t lane)
+    {
+        std::vector<DispatchMsg> msgs;
+        auto& ej = noc.eject(laneNodes[lane]);
+        while (!ej.empty()) {
+            const Packet pkt = ej.pop();
+            EXPECT_EQ(pkt.kind, PktKind::TaskDispatch);
+            msgs.push_back(std::any_cast<DispatchMsg>(pkt.payload));
+        }
+        return msgs;
+    }
+
     /** uids dispatched to @p lane since the last call, in arrival
      *  order. */
     std::vector<TaskId>
     dispatchedTo(std::uint32_t lane)
     {
         std::vector<TaskId> uids;
-        auto& ej = noc.eject(laneNodes[lane]);
-        while (!ej.empty()) {
-            const Packet pkt = ej.pop();
-            EXPECT_EQ(pkt.kind, PktKind::TaskDispatch);
-            uids.push_back(std::any_cast<DispatchMsg>(pkt.payload).uid);
-        }
+        for (const DispatchMsg& m : dispatchesTo(lane))
+            uids.push_back(m.uid);
         return uids;
     }
 
@@ -331,6 +392,119 @@ TEST(SpatialPinnedDispatch, BusyLaneDoesNotBlockOtherLanes)
     f.sim.step(200);
     EXPECT_EQ(f.dispatchedTo(0), (std::vector<TaskId>{2}));
     EXPECT_TRUE(f.dispatchedTo(1).empty());
+}
+
+TEST(SpatialPinnedDispatch, UnpinnedProducersSpreadOnline)
+{
+    PinnedFixture f;
+    // Every component sleeps once the producers are out, and idle
+    // fast-forward would skip the cycles that commit the completions
+    // this test injects from outside a tick.
+    f.sim.setFastForward(false);
+    const auto ty = addAddType(f.reg, "scale");
+    // Two producers fill the two halves of one staging buffer that a
+    // single consumer reads: both forward into the consumer, which is
+    // the only pinned task.
+    const Addr mid = 0x10000;
+    TaskGraph graph;
+    std::vector<TaskId> producers;
+    for (int i = 0; i < 2; ++i) {
+        WriteDesc out;
+        out.base = mid + i * 32 * wordBytes;
+        producers.push_back(graph.addTask(
+            ty,
+            {StreamDesc::linear(Space::Dram, 0x1000 + i * 0x1000, 32)},
+            {out}));
+    }
+    WriteDesc sink;
+    sink.base = 0x20000;
+    const TaskId consumer = graph.addTask(
+        ty, {StreamDesc::linear(Space::Dram, mid, 64)}, {sink});
+    for (const TaskId p : producers)
+        graph.addBarrier(p, consumer);
+    f.disp->setSpatialPlan({-1, -1, 0});
+    f.disp->loadGraph(graph);
+
+    // The WorkAware pick spreads the producers over both lanes, and
+    // each one streams into the consumer's planned lane.
+    f.sim.step(200);
+    const std::vector<DispatchMsg> on0 = f.dispatchesTo(0);
+    const std::vector<DispatchMsg> on1 = f.dispatchesTo(1);
+    ASSERT_EQ(on0.size(), 1u);
+    ASSERT_EQ(on1.size(), 1u);
+    EXPECT_EQ(on0[0].uid, producers[0]);
+    EXPECT_EQ(on1[0].uid, producers[1]);
+    for (const DispatchMsg* m : {&on0[0], &on1[0]}) {
+        ASSERT_EQ(m->outputs[0].spatialDsts.size(), 1u);
+        EXPECT_EQ(m->outputs[0].spatialDsts[0].node, f.laneNodes[0]);
+        EXPECT_TRUE(m->outputs[0].spatialSuppress);
+    }
+
+    // The consumer waits for its planned lane and gates on both
+    // producers' streams.
+    f.complete(producers[0], 0);
+    f.complete(producers[1], 1);
+    f.sim.step(200);
+    EXPECT_TRUE(f.dispatchedTo(1).empty());
+    const std::vector<DispatchMsg> last = f.dispatchesTo(0);
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last[0].uid, consumer);
+    ASSERT_EQ(last[0].waitSpatial.size(), 1u);
+    EXPECT_EQ(last[0].waitSpatial[0].dones, 2u);
+
+    StatSet stats;
+    f.disp->reportStats(stats);
+    EXPECT_EQ(stats.get("delta.spatial.pinned"), 1.0);
+    EXPECT_EQ(stats.get("delta.spatial.forwards"), 2.0);
+}
+
+TEST(SpatialPinnedDispatch, PipelineEdgesNeverMoveAPinnedConsumer)
+{
+    // Pipelining on under Spatial (as `--sched spatial` leaves the
+    // delta preset): the producers' pipeline closure would pull in
+    // the consumer and give it the online pick (lane 0), while both
+    // producers stream to its planned lane 1.
+    PinnedFixture f(/*pipeline=*/true);
+    f.sim.setFastForward(false);
+    const auto ty = addAddType(f.reg, "scale");
+    const Addr mid = 0x10000;
+    TaskGraph graph;
+    std::vector<TaskId> producers;
+    std::vector<StreamDesc> halves;
+    for (int i = 0; i < 2; ++i) {
+        WriteDesc out;
+        out.base = mid + i * 32 * wordBytes;
+        producers.push_back(graph.addTask(
+            ty,
+            {StreamDesc::linear(Space::Dram, 0x1000 + i * 0x1000, 32)},
+            {out}));
+        halves.push_back(StreamDesc::linear(Space::Dram, out.base, 32));
+    }
+    WriteDesc sink;
+    sink.base = 0x20000;
+    const TaskId consumer = graph.addTask(ty, halves, {sink});
+    graph.addPipeline(producers[0], 0, consumer, 0);
+    graph.addPipeline(producers[1], 0, consumer, 1);
+    f.disp->setSpatialPlan({-1, -1, 1});
+    f.disp->loadGraph(graph);
+
+    f.sim.step(200);
+    EXPECT_EQ(f.dispatchedTo(0), (std::vector<TaskId>{producers[0]}));
+    EXPECT_EQ(f.dispatchedTo(1), (std::vector<TaskId>{producers[1]}));
+
+    f.complete(producers[0], 0);
+    f.complete(producers[1], 1);
+    f.sim.step(200);
+    EXPECT_TRUE(f.dispatchedTo(0).empty());
+    const std::vector<DispatchMsg> last = f.dispatchesTo(1);
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last[0].uid, consumer);
+    EXPECT_EQ(last[0].waitSpatial.size(), 2u);
+
+    StatSet stats;
+    f.disp->reportStats(stats);
+    EXPECT_EQ(stats.get("dispatcher.pipesActivated"), 0.0);
+    EXPECT_EQ(stats.get("delta.spatial.forwards"), 2.0);
 }
 
 // --- end-to-end: SchedPolicy::Spatial -------------------------------------
@@ -407,15 +581,66 @@ TEST(SpatialEndToEnd, UndersizedBudgetSpillsToDramButStaysCorrect)
               roomy.get("delta.attrib.spatial.dramLinesSaved"));
 }
 
+TEST(SpatialEndToEnd, NoForwardsMeansOnlineDispatch)
+{
+    // With nothing to forward, no task is pinned, so a spatial run
+    // is the same preset with an empty plan: every task takes the
+    // WorkAware pick.
+    DeltaConfig online = DeltaConfig::spatial(8);
+    online.policy = SchedPolicy::WorkAware;
+    for (const Wk w : {Wk::Cholesky, Wk::Lu, Wk::Centroid, Wk::Spmv}) {
+        const StatSet spatial =
+            runSpatial(w, DeltaConfig::spatial(8));
+        EXPECT_EQ(spatial.get("delta.spatial.forwards"), 0.0)
+            << wkIdent(w);
+        EXPECT_EQ(spatial.get("delta.cycles"),
+                  runSpatial(w, online).get("delta.cycles"))
+            << wkIdent(w);
+    }
+}
+
+TEST(SpatialEndToEnd, NeverSlowerThanDelta)
+{
+    // Pinning only where forwarding pays keeps spatial within 3% of
+    // delta on every kernel (seed 7, scale 0.25).
+    for (const Wk w : allWorkloads()) {
+        const double spatial =
+            runSpatial(w, DeltaConfig::spatial(8)).get("delta.cycles");
+        const double delta =
+            runSpatial(w, DeltaConfig::delta(8)).get("delta.cycles");
+        EXPECT_LE(spatial, 1.03 * delta) << wkIdent(w);
+    }
+}
+
+TEST(SpatialEndToEnd, PipeliningConfigStaysCorrectUnderSpatial)
+{
+    // `--sched spatial` on the delta preset leaves pipelining on;
+    // Spatial ignores it.  msort's merges are pinned forwarding
+    // consumers on Pipeline edges, and both kernels must finish
+    // golden-correct without activating a pipe.
+    DeltaConfig cfg = DeltaConfig::delta(8);
+    cfg.policy = SchedPolicy::Spatial;
+    for (const Wk w : {Wk::Msort, Wk::MsortDyn}) {
+        bool correct = false;
+        const StatSet stats = runSpatial(w, cfg, &correct);
+        EXPECT_TRUE(correct) << wkIdent(w);
+        EXPECT_GT(stats.get("delta.spatial.pinned"), 0) << wkIdent(w);
+        EXPECT_EQ(stats.get("dispatcher.pipesActivated"), 0.0)
+            << wkIdent(w);
+    }
+}
+
 TEST(SpatialEndToEnd, SpawnedTasksInheritTheirSpawnersLane)
 {
     // msort-dyn builds its subtrees via runtime spawns; spatial mode
-    // must keep them pinned (no stealable tasks) and stay correct.
+    // pins each transfer heir to its spawner's lane, places the
+    // siblings online, never steals, and stays correct.
     bool correct = false;
     const StatSet stats =
         runSpatial(Wk::MsortDyn, DeltaConfig::spatial(8), &correct);
     EXPECT_TRUE(correct);
     EXPECT_GT(stats.get("dispatcher.tasksSpawned"), 0);
+    EXPECT_GT(stats.get("delta.spatial.pinned"), 0);
     EXPECT_EQ(stats.get("dispatcher.attrib.steal.tasksStolen"), 0.0);
 }
 
