@@ -38,6 +38,9 @@ counters, and checks:
                      workload benches (everything except the
                      BM_Synthetic* pair)
 
+In every mode a requested floor missing from perf-floors.txt fails
+the gate rather than skipping it.
+
 Prints a Markdown table (suitable for $GITHUB_STEP_SUMMARY) to
 stdout and exits non-zero when a floor is violated.  Failures also
 emit GitHub `::error` workflow commands on stderr (stdout is
@@ -70,6 +73,17 @@ def load_floors(path):
     return floors
 
 
+def require_floor(floors_path, key):
+    """The floor named `key` in floors_path.  A requested floor that
+    is missing fails the gate: a floor that silently skips measures
+    nothing."""
+    floor = load_floors(floors_path).get(key)
+    if floor is None:
+        annotate("FLOOR MISSING", f"{key} has no floor in {floors_path}")
+        sys.exit(1)
+    return floor
+
+
 def check_steal(baseline_path, steal_path, floors_path):
     """Gate the work-steal-vs-work speedup against steal-imbalance."""
     with open(baseline_path) as f:
@@ -85,14 +99,7 @@ def check_steal(baseline_path, steal_path, floors_path):
             )
             sys.exit(1)
 
-    floor = load_floors(floors_path).get("steal-imbalance")
-    if floor is None:
-        print(
-            f"- `steal-imbalance`: no floor configured in "
-            f"{floors_path}, skipped",
-            file=sys.stderr,
-        )
-        sys.exit(0)
+    floor = require_floor(floors_path, "steal-imbalance")
 
     stats = steal.get("stats", {})
     stolen = stats.get("dispatcher.attrib.steal.tasksStolen", 0)
@@ -140,13 +147,7 @@ def check_spatial(key, floors_path, paths):
     if not paths or len(paths) % 2 != 0:
         sys.exit("--spatial needs (static, spatial) file pairs")
 
-    floor = load_floors(floors_path).get(key)
-    if floor is None:
-        print(
-            f"- `{key}`: no floor configured in {floors_path}, skipped",
-            file=sys.stderr,
-        )
-        sys.exit(0)
+    floor = require_floor(floors_path, key)
 
     print(f"### Spatial mapping, `{key}` (spatial vs static, simulated "
           f"cycles)")
@@ -242,7 +243,6 @@ def main():
     real = [s for n, s in speedup.items() if not n.startswith("BM_Synthetic")]
     geomean = math.exp(sum(math.log(s) for s in real) / len(real)) if real else 0.0
 
-    floors = load_floors(sys.argv[2])
     checks = [
         (
             "host-idle-speedup",
@@ -273,13 +273,7 @@ def main():
 
     failed = False
     for key, value, source in checks:
-        floor = floors.get(key)
-        if floor is None:
-            print(
-                f"- `{key}`: no floor configured in {sys.argv[2]}, skipped",
-                file=sys.stderr,
-            )
-            continue
+        floor = require_floor(sys.argv[2], key)
         if value is None:
             failed = True
             print(f"- `{key}`: **NO DATA** ({source}) vs floor {floor:.2f}x")

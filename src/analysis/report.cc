@@ -653,7 +653,18 @@ isSweepReport(const Json& doc)
 namespace
 {
 
-using Cell = std::tuple<std::string, std::string, double>;
+/** (workload, config, scale, lanes). */
+using Cell = std::tuple<std::string, std::string, double, double>;
+
+/** The per-run stats the tables render beside cycles, speedup and
+ *  energy, each as its mean over seeds: multicast's DRAM and NoC
+ *  traffic and each policy's load balance. */
+const std::vector<std::pair<const char*, int>> kStatTables = {
+    {"mem.linesRead", 0},
+    {"noc.wordHops", 0},
+    {"delta.imbalance", 2},
+    {"dispatcher.attrib.steal.tasksStolen", 0},
+};
 
 /** Fixed-point @p v plus @p unit; NaN (a failed run) reads FAIL. */
 std::string
@@ -668,17 +679,18 @@ cell(double v, int precision, const char* unit = "")
 
 /**
  * A Markdown table of value(workload, config), a row per workload,
- * closed by each column's geomean — or, when @p ratioTo is a column,
- * by the geomean ratio of that column to each.  A failed (NaN) cell
- * fails its column's geomean.  A non-empty @p noteHeader adds a text
- * column filled by note(workload).
+ * closed (when @p geomean is set) by each column's geomean — or,
+ * when @p ratioTo is a column, by the geomean ratio of that column
+ * to each.  A failed (NaN) cell fails its column's geomean.  A
+ * non-empty @p noteHeader adds a text column filled by
+ * note(workload).
  */
 void
 markdownTable(std::ostream& os, const std::vector<std::string>& wks,
               const std::vector<std::string>& cfgs,
               const std::function<double(const std::string&,
                                          const std::string&)>& value,
-              int precision, const char* unit,
+              int precision, const char* unit, bool geomean = true,
               int ratioTo = -1, const std::string& noteHeader = "",
               const std::function<std::string(const std::string&)>&
                   note = {})
@@ -705,6 +717,8 @@ markdownTable(std::ostream& os, const std::vector<std::string>& wks,
             os << " " << note(w) << " |";
         os << "\n";
     }
+    if (!geomean)
+        return;
     os << "| **geomean";
     if (ratioTo >= 0)
         os << " " << cfgs[ratioTo] << "/config";
@@ -738,11 +752,12 @@ printSweepTables(std::ostream& os, const Json& report)
         std::find(cfgs.begin(), cfgs.end(), base) - cfgs.begin());
     const auto cellOf = [](const Json& e) {
         return Cell{e.at("workload").str, e.at("config").str,
-                    e.at("scale").num};
+                    e.at("scale").num, e.at("lanes").num};
     };
 
     // A cell counts only when every seed's run is ok (aggregate n);
-    // energy components sum over the cell's runs.
+    // energy components and the stat tables' values sum over the
+    // cell's runs.
     std::map<Cell, double> cycles, speedup;
     for (const Json& a : report.at("aggregates").arr)
         cycles[cellOf(a)] =
@@ -752,6 +767,7 @@ printSweepTables(std::ostream& os, const Json& report)
             sp.at("n").num == seeds ? sp.at("mean").num : NAN;
     bool allOk = true;
     std::map<Cell, std::vector<EnergyEntry>> energy;
+    std::map<std::pair<Cell, std::string>, double> statSums;
     for (const Json& r : report.at("runs").arr) {
         allOk = allOk && r.at("correct").b && !r.at("failed").b;
         StatSet stats;
@@ -767,31 +783,32 @@ printSweepTables(std::ostream& os, const Json& report)
             sum[i].name = run.entries[i].name;
             sum[i].nanojoules += run.entries[i].nanojoules;
         }
+        for (const auto& [key, precision] : kStatTables)
+            statSums[{cellOf(r), key}] += stats.getOr(key, NAN);
     }
 
-    os << "# Headline tables\n\nRendered by `delta-report` from a "
+    os << "# Sweep tables\n\nRendered by `delta-report` from a "
           "`delta-sweep` report; do not edit by hand.\nSeeds:";
     for (const Json& seed : grid.at("seeds").arr)
         os << " " << static_cast<std::uint64_t>(seed.num);
-    os << "; lanes: " << report.at("runs").arr.at(0).at("lanes").num
-       << "; baseline: " << (base.empty() ? "none" : "`" + base + "`")
+    os << "; baseline: " << (base.empty() ? "none" : "`" + base + "`")
        << ". Multi-seed cells are means "
        << "over seeds; FAIL marks a failed or incorrect run.\n";
-    double scale = 0.0;
+    double scale = 0.0, lanes = 0.0;
     const auto cyclesOf = [&](const auto& w, const auto& c) {
-        return cycles.at({w, c, scale});
+        return cycles.at({w, c, scale, lanes});
     };
     const auto speedupOf = [&](const auto& w, const auto& c) {
-        return speedup.at({w, c, scale});
+        return speedup.at({w, c, scale, lanes});
     };
     const auto microjoulesOf = [&](const auto& w, const auto& c) {
         double nj = std::isnan(cyclesOf(w, c)) ? NAN : 0.0;
-        for (const EnergyEntry& e : energy.at({w, c, scale}))
+        for (const EnergyEntry& e : energy.at({w, c, scale, lanes}))
             nj += e.nanojoules;
         return nj / seeds / 1000.0;
     };
     const auto largestBaseComponent = [&](const std::string& w) {
-        const auto& parts = energy.at({w, base, scale});
+        const auto& parts = energy.at({w, base, scale, lanes});
         if (std::isnan(cyclesOf(w, base)))
             return std::string("FAIL");
         return std::max_element(parts.begin(), parts.end(),
@@ -802,16 +819,34 @@ printSweepTables(std::ostream& os, const Json& report)
     };
     for (const Json& scaleJson : grid.at("scales").arr) {
         scale = scaleJson.num;
-        os << "\n## Scale " << scale << "\n\n### Simulated cycles\n\n";
-        markdownTable(os, wks, cfgs, cyclesOf, 0, "");
-        if (base.empty())
-            continue;
-        os << "\n### Speedup over `" << base << "`\n\n";
-        markdownTable(os, wks, others, speedupOf, 2, "×");
-        os << "\n### Modeled energy (µJ)\n\n";
-        markdownTable(os, wks, cfgs, microjoulesOf, 1, "", baseCol,
-                      "largest `" + base + "` component",
-                      largestBaseComponent);
+        for (const Json& lanesJson : grid.at("lanes").arr) {
+            lanes = lanesJson.num;
+            os << "\n## Scale " << scale << ", " << lanes
+               << " lanes\n\n### Simulated cycles\n\n";
+            markdownTable(os, wks, cfgs, cyclesOf, 0, "");
+            if (!base.empty()) {
+                os << "\n### Speedup over `" << base << "`\n\n";
+                markdownTable(os, wks, others, speedupOf, 2, "×");
+                os << "\n### Modeled energy (µJ)\n\n";
+                markdownTable(os, wks, cfgs, microjoulesOf, 1, "",
+                              true, baseCol,
+                              "largest `" + base + "` component",
+                              largestBaseComponent);
+            }
+            for (const auto& [key, precision] : kStatTables) {
+                os << "\n### `" << key << "`\n\n";
+                markdownTable(
+                    os, wks, cfgs,
+                    [&, key = key](const auto& w, const auto& c) {
+                        return std::isnan(cyclesOf(w, c))
+                                   ? NAN
+                                   : statSums.at({{w, c, scale, lanes},
+                                                  key}) /
+                                         seeds;
+                    },
+                    precision, "", /*geomean=*/false);
+            }
+        }
     }
     return allOk;
 }

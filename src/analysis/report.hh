@@ -8,8 +8,9 @@
  * what each recovered mechanism bought (attribution), how close the
  * run came to its dependence-structure bound (critical path), and
  * which task types dominate the tail (histogram percentiles).
- * A whole delta-sweep report renders instead as the Markdown
- * headline tables (cycles, speedup, energy per workload x config).
+ * A whole delta-sweep report renders instead as Markdown tables
+ * (cycles, speedup, energy and traffic/balance stats per workload x
+ * config).
  * tools/delta-report is a thin CLI over these functions; tests call
  * them directly.
  */
@@ -77,11 +78,13 @@ RunStats loadStats(const std::string& path);
 bool isSweepReport(const Json& doc);
 
 /**
- * Render a delta-sweep report as Markdown: per scale, simulated
- * cycles (`aggregates`), paired speedup over the baseline
- * (`speedups`) and modeled energy (computeEnergy), a row per
- * workload, configs in grid order, geomean last.  A cell with a
- * failed or incorrect run, and its column's geomean, read FAIL.
+ * Render a delta-sweep report as Markdown: per (scale, lanes),
+ * simulated cycles (`aggregates`), paired speedup over the baseline
+ * (`speedups`) and modeled energy (computeEnergy), each closed by
+ * its geomean, then the seed mean of each of a fixed list of run
+ * stats (DRAM lines read, NoC word-hops, lane imbalance, tasks
+ * stolen); a row per workload, configs in grid order.  A cell with
+ * a failed or incorrect run, and its column's geomean, read FAIL.
  * @return whether every run completed and passed its check.
  */
 bool printSweepTables(std::ostream& os, const Json& report);

@@ -44,7 +44,7 @@ GridSettings::spec() const
 {
     SweepSpec s = *this;
     if (s.configs.empty())
-        s.configs = sweepConfigsFromList("", lanes);
+        s.configs = sweepConfigsFromList("");
     if (quiet)
         s.progress = "never";
     return s;

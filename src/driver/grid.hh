@@ -28,7 +28,6 @@ namespace driver
 /** Everything delta-sweep reads: the sweep plus its CLI settings. */
 struct GridSettings : SweepSpec
 {
-    std::uint32_t lanes = 8; ///< lanes for every config
     std::string out;         ///< aggregate report ("" = stdout)
     bool quiet = false;      ///< no progress or run summaries
     bool dryRun = false;     ///< expand + predict, no runs

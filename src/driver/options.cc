@@ -184,7 +184,7 @@ const std::vector<OptionKey> kOptionKeys = {
      "spatial",
      "accelerator-config axis (default: static,delta)", false, true,
      [](V v, G& g) {
-         g.configs = sweepConfigsFromList(v, g.lanes);
+         g.configs = sweepConfigsFromList(v);
          return true;
      }},
     {"seed", "non-negative integer", "base RNG seed", false, false,
@@ -202,16 +202,17 @@ const std::vector<OptionKey> kOptionKeys = {
     {"scales", "comma list of positive numbers",
      "problem-size axis (default: scale)", false, true,
      [](V v, G& g) { return parseList(v, g.scales, parsePositive); }},
-    {"lanes", "integer in 1..62", "lanes for every config (default 8)",
-     false, true,
+    {"lanes", "comma list of integers in 1..62",
+     "lane-count axis (default 8)", false, true,
      [](V v, G& g) {
-         std::uint64_t n = 0;
-         if (!parseUnsigned(v, n) || n < 1 || n > 62)
-             return false;
-         g.lanes = static_cast<std::uint32_t>(n);
-         for (ConfigVariant& c : g.configs)
-             c = sweepConfig(c.name, g.lanes);
-         return true;
+         return parseList<std::uint32_t>(
+             v, g.laneCounts, [](V s, std::uint32_t& x) {
+                 std::uint64_t n = 0;
+                 if (!parseUnsigned(s, n) || n < 1 || n > 62)
+                     return false;
+                 x = static_cast<std::uint32_t>(n);
+                 return true;
+             });
      }},
     {"baseline", "a name from configs",
      "config paired speedups are measured against (default: the "

@@ -64,6 +64,16 @@ meanStddev(const std::vector<double>& xs, double& mean,
     stddev = std::sqrt(ss / static_cast<double>(xs.size() - 1));
 }
 
+/** The resolved lane-count axis: laneCounts, or the first config's
+ *  own cfg.lanes when it is empty. */
+std::vector<std::uint32_t>
+laneAxis(const SweepSpec& spec)
+{
+    if (!spec.laneCounts.empty() || spec.configs.empty())
+        return spec.laneCounts;
+    return {spec.configs.front().cfg.lanes};
+}
+
 } // namespace
 
 const std::vector<std::string>&
@@ -114,14 +124,14 @@ sweepConfig(const std::string& name, std::uint32_t lanes)
 }
 
 std::vector<ConfigVariant>
-sweepConfigsFromList(const std::string& list, std::uint32_t lanes)
+sweepConfigsFromList(const std::string& list)
 {
     std::vector<ConfigVariant> out;
     for (const std::string& name : splitList(list))
-        out.push_back(sweepConfig(name, lanes));
+        out.push_back(sweepConfig(name));
     if (out.empty()) {
-        out.push_back(sweepConfig("static", lanes));
-        out.push_back(sweepConfig("delta", lanes));
+        out.push_back(sweepConfig("static"));
+        out.push_back(sweepConfig("delta"));
     }
     return out;
 }
@@ -189,9 +199,10 @@ canonicalConfig(const DeltaConfig& cfg)
 namespace
 {
 
-/** The DeltaConfig a point runs under: its preset, traced to the
- *  point's tagged path when tracing, with the spec's run-wide
- *  options applied.  Cache keys and execution both derive it here. */
+/** The DeltaConfig a point runs under: its preset at the point's
+ *  lane count, traced to the point's tagged path when tracing, with
+ *  the spec's run-wide options applied.  Cache keys and execution
+ *  both derive it here. */
 DeltaConfig
 pointConfig(const SweepSpec& spec, const RunPoint& point)
 {
@@ -200,6 +211,7 @@ pointConfig(const SweepSpec& spec, const RunPoint& point)
         if (c.name == point.config)
             cfg = c.cfg;
     }
+    cfg.lanes = point.lanes;
     if (!spec.tracePath.empty())
         cfg.trace = traceConfigTagged(spec.tracePath, point.tag());
     return spec.applyTo(cfg);
@@ -247,6 +259,16 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
         if (!(s > 0))
             fatal("sweep: scales must be positive, got ", s);
     }
+    if (spec_.laneCounts.empty()) {
+        const ConfigVariant& first = spec_.configs.front();
+        for (const ConfigVariant& c : spec_.configs) {
+            if (c.cfg.lanes != first.cfg.lanes)
+                fatal("sweep: configs run at different lane counts (",
+                      first.name, ": ", first.cfg.lanes, ", ", c.name,
+                      ": ", c.cfg.lanes, "); set a lanes axis");
+        }
+        spec_.laneCounts = laneAxis(spec_);
+    }
     if (!spec_.statsJsonPath.empty())
         fatal("--stats-json writes one file, which every sweep point "
               "would overwrite; use --bench-json DIR for per-run "
@@ -268,20 +290,22 @@ Sweep::Sweep(SweepSpec spec) : spec_(std::move(spec))
         }
     }
 
-    // Deterministic grid order: workload-major, then scale, seed,
-    // config — the paired baseline/config runs of one point land
-    // adjacently, and every aggregate walks this same order.
+    // Deterministic grid order: workload-major, then scale, lanes,
+    // seed, config — the paired baseline/config runs of one point
+    // land adjacently, and every aggregate walks this same order.
     for (const Wk w : spec_.workloads) {
         for (const double scale : spec_.scales) {
-            for (const std::uint64_t seed : spec_.seeds) {
-                for (const ConfigVariant& c : spec_.configs) {
-                    RunPoint p;
-                    p.workload = w;
-                    p.config = c.name;
-                    p.seed = seed;
-                    p.scale = scale;
-                    p.lanes = c.cfg.lanes;
-                    points_.push_back(p);
+            for (const std::uint32_t lanes : spec_.laneCounts) {
+                for (const std::uint64_t seed : spec_.seeds) {
+                    for (const ConfigVariant& c : spec_.configs) {
+                        RunPoint p;
+                        p.workload = w;
+                        p.config = c.name;
+                        p.seed = seed;
+                        p.scale = scale;
+                        p.lanes = lanes;
+                        points_.push_back(p);
+                    }
                 }
             }
         }
@@ -527,12 +551,13 @@ Sweep::run()
 }
 
 const RunOutcome*
-SweepReport::find(Wk w, const std::string& config,
-                  std::uint64_t seed, double scale) const
+SweepReport::find(Wk w, const std::string& config, std::uint64_t seed,
+                  double scale, std::uint32_t lanes) const
 {
     for (const RunOutcome& r : runs) {
         if (r.point.workload == w && r.point.config == config &&
-            r.point.seed == seed && r.point.scale == scale)
+            r.point.seed == seed && r.point.scale == scale &&
+            r.point.lanes == lanes)
             return &r;
     }
     return nullptr;
@@ -547,31 +572,44 @@ SweepReport::failures() const
     return n;
 }
 
+namespace
+{
+
+/** Call fn(workload, scale, lanes, config) for every cross-seed cell
+ *  of @p spec, in grid order. */
+template <class Fn>
+void
+forEachCell(const SweepSpec& spec, const Fn& fn)
+{
+    for (const Wk w : spec.workloads) {
+        for (const double scale : spec.scales) {
+            for (const std::uint32_t lanes : laneAxis(spec)) {
+                for (const ConfigVariant& c : spec.configs)
+                    fn(w, scale, lanes, c.name);
+            }
+        }
+    }
+}
+
+} // namespace
+
 std::vector<CellAggregate>
 SweepReport::aggregates() const
 {
     std::vector<CellAggregate> out;
-    for (const Wk w : spec.workloads) {
-        for (const double scale : spec.scales) {
-            for (const ConfigVariant& c : spec.configs) {
-                CellAggregate cell;
-                cell.workload = w;
-                cell.config = c.name;
-                cell.scale = scale;
-                std::vector<double> cycles;
-                for (const std::uint64_t seed : spec.seeds) {
-                    const RunOutcome* r =
-                        find(w, c.name, seed, scale);
-                    if (r != nullptr && r->ok())
-                        cycles.push_back(r->cycles);
-                }
-                cell.n = cycles.size();
-                meanStddev(cycles, cell.meanCycles,
-                           cell.stddevCycles);
-                out.push_back(cell);
-            }
+    forEachCell(spec, [&](Wk w, double scale, std::uint32_t lanes,
+                          const std::string& config) {
+        CellAggregate cell{w, config, scale, lanes};
+        std::vector<double> cycles;
+        for (const std::uint64_t seed : spec.seeds) {
+            const RunOutcome* r = find(w, config, seed, scale, lanes);
+            if (r != nullptr && r->ok())
+                cycles.push_back(r->cycles);
         }
-    }
+        cell.n = cycles.size();
+        meanStddev(cycles, cell.meanCycles, cell.stddevCycles);
+        out.push_back(cell);
+    });
     return out;
 }
 
@@ -582,30 +620,23 @@ SweepReport::pairedSpeedups() const
     const std::string base = spec.baselineName();
     if (base.empty())
         return out;
-    for (const Wk w : spec.workloads) {
-        for (const double scale : spec.scales) {
-            for (const ConfigVariant& c : spec.configs) {
-                if (c.name == base)
-                    continue;
-                PairedSpeedup ps;
-                ps.workload = w;
-                ps.config = c.name;
-                ps.scale = scale;
-                std::vector<double> ratios;
-                for (const std::uint64_t seed : spec.seeds) {
-                    const RunOutcome* b = find(w, base, seed, scale);
-                    const RunOutcome* r =
-                        find(w, c.name, seed, scale);
-                    if (b != nullptr && r != nullptr && b->ok() &&
-                        r->ok() && r->cycles > 0)
-                        ratios.push_back(b->cycles / r->cycles);
-                }
-                ps.n = ratios.size();
-                meanStddev(ratios, ps.mean, ps.stddev);
-                out.push_back(ps);
-            }
+    forEachCell(spec, [&](Wk w, double scale, std::uint32_t lanes,
+                          const std::string& config) {
+        if (config == base)
+            return;
+        PairedSpeedup ps{w, config, scale, lanes};
+        std::vector<double> ratios;
+        for (const std::uint64_t seed : spec.seeds) {
+            const RunOutcome* b = find(w, base, seed, scale, lanes);
+            const RunOutcome* r = find(w, config, seed, scale, lanes);
+            if (b != nullptr && r != nullptr && b->ok() && r->ok() &&
+                r->cycles > 0)
+                ratios.push_back(b->cycles / r->cycles);
         }
-    }
+        ps.n = ratios.size();
+        meanStddev(ratios, ps.mean, ps.stddev);
+        out.push_back(ps);
+    });
     return out;
 }
 
@@ -626,6 +657,10 @@ SweepReport::writeJson(std::ostream& os) const
     os << "],\n    \"scales\": [";
     for (std::size_t i = 0; i < spec.scales.size(); ++i)
         os << (i > 0 ? ", " : "") << formatScale(spec.scales[i]);
+    os << "],\n    \"lanes\": [";
+    const std::vector<std::uint32_t> lanes = laneAxis(spec);
+    for (std::size_t i = 0; i < lanes.size(); ++i)
+        os << (i > 0 ? ", " : "") << lanes[i];
     os << "],\n    \"baseline\": \""
        << jsonEscape(spec.baselineName()) << "\"\n  },\n";
 
@@ -663,7 +698,7 @@ SweepReport::writeJson(std::ostream& os) const
            << wkName(a.workload) << "\", \"config\": \""
            << jsonEscape(a.config)
            << "\", \"scale\": " << formatScale(a.scale)
-           << ", \"n\": " << a.n
+           << ", \"lanes\": " << a.lanes << ", \"n\": " << a.n
            << ", \"meanCycles\": " << jsonNumber(a.meanCycles)
            << ", \"stddevCycles\": " << jsonNumber(a.stddevCycles)
            << "}";
@@ -678,7 +713,7 @@ SweepReport::writeJson(std::ostream& os) const
            << wkName(s.workload) << "\", \"config\": \""
            << jsonEscape(s.config)
            << "\", \"scale\": " << formatScale(s.scale)
-           << ", \"n\": " << s.n
+           << ", \"lanes\": " << s.lanes << ", \"n\": " << s.n
            << ", \"mean\": " << jsonNumber(s.mean)
            << ", \"stddev\": " << jsonNumber(s.stddev) << "}";
     }

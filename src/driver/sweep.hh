@@ -1,7 +1,8 @@
 /**
  * @file
  * The parallel sweep engine: expand a declarative grid of simulated
- * runs (workloads x accelerator configs x seeds x scales), execute
+ * runs (workloads x accelerator configs x lanes x seeds x scales),
+ * execute
  * the points on a host thread pool, and aggregate the results
  * deterministically.
  *
@@ -14,18 +15,20 @@
  * changes.
  *
  * Aggregation:
- *  - per-run StatSets keyed by point (workload, config, seed, scale);
- *  - cross-seed mean/stddev of cycles per (workload, config, scale);
+ *  - per-run StatSets keyed by point (workload, config, lanes, seed,
+ *    scale);
+ *  - cross-seed mean/stddev of cycles per (workload, config, lanes,
+ *    scale);
  *  - paired speedups versus a designated baseline config, computed
- *    in-process per (workload, seed, scale) and summarized across
- *    seeds;
+ *    in-process per (workload, lanes, seed, scale) and summarized
+ *    across seeds;
  *  - a machine-readable JSON report, plus optional per-run dumps in
  *    the bench-JSON wrapper shape `tools/delta-report --baseline`
  *    already ingests.
  *
- * tools/delta-sweep is a thin CLI over this; the headline tables
- * (bench/headline.md) are its report for bench/headline.grid,
- * rendered by tools/delta-report.
+ * tools/delta-sweep is a thin CLI over this; every generated table
+ * (bench/<name>.md) is its report for bench/<name>.grid, rendered by
+ * tools/delta-report.
  */
 
 #ifndef TS_DRIVER_SWEEP_HH
@@ -65,16 +68,16 @@ const std::vector<std::string>& sweepConfigNames();
 ConfigVariant sweepConfig(const std::string& name,
                           std::uint32_t lanes = 8);
 
-/** Parse a comma-separated list of preset names (fatal on unknown,
- *  empty selects "static,delta"). */
-std::vector<ConfigVariant>
-sweepConfigsFromList(const std::string& list, std::uint32_t lanes = 8);
+/** Parse a comma-separated list of preset names into 8-lane presets
+ *  (fatal on unknown, empty selects "static,delta"); a sweep's lanes
+ *  axis sets the lane count each point runs at. */
+std::vector<ConfigVariant> sweepConfigsFromList(const std::string& list);
 
 struct RunOutcome;
 struct RunPoint;
 
 /**
- * The declarative grid: the cross product of the four axes, plus the
+ * The declarative grid: the cross product of the five axes, plus the
  * run-wide RunOptions every point applies to its preset (steal,
  * sched, timeline, hostProfile, flightRecorder, noFastForward, ...;
  * see pointConfig in sweep.cc).  Of the inherited fields, workloads
@@ -84,7 +87,8 @@ struct RunPoint;
  * `<base>.<tag>.json` Perfetto trace per point, and progress the
  * progress/ETA lines on stderr; seed and scale are what an empty
  * seeds or scales axis resolves to; statsJsonPath is refused (its one
- * file every point would overwrite).
+ * file every point would overwrite).  An empty laneCounts axis keeps
+ * the configs' own cfg.lanes, which must then agree.
  */
 struct SweepSpec : RunOptions
 {
@@ -94,6 +98,8 @@ struct SweepSpec : RunOptions
     std::vector<ConfigVariant> configs; ///< must be non-empty
     std::vector<std::uint64_t> seeds;   ///< empty = {seed}
     std::vector<double> scales;         ///< empty = {scale}
+    /** Lane counts every config runs at (empty = the configs' own). */
+    std::vector<std::uint32_t> laneCounts;
 
     /** Config paired speedups are measured against ("" = the first
      *  config when more than one, else no speedups). */
@@ -133,6 +139,7 @@ struct SweepSpec : RunOptions
 
     /** Resolved baseline name ("" when speedups are off). */
     std::string baselineName() const;
+
 };
 
 /** One point of the expanded grid, in deterministic grid order. */
@@ -162,23 +169,27 @@ struct RunOutcome
     bool ok() const { return correct && !failed; }
 };
 
-/** Cross-seed summary of one (workload, config, scale) cell. */
+/** Cross-seed summary of one (workload, config, lanes, scale)
+ *  cell. */
 struct CellAggregate
 {
     Wk workload = Wk::Spmv;
     std::string config;
     double scale = 1.0;
+    std::uint32_t lanes = 8;
     std::size_t n = 0;          ///< seeds with an ok() run
     double meanCycles = 0.0;    ///< over ok() runs
     double stddevCycles = 0.0;  ///< sample stddev (0 when n < 2)
 };
 
-/** Cross-seed summary of paired speedups vs the baseline config. */
+/** Cross-seed summary of paired speedups vs the baseline config at
+ *  the same lane count. */
 struct PairedSpeedup
 {
     Wk workload = Wk::Spmv;
     std::string config;
     double scale = 1.0;
+    std::uint32_t lanes = 8;
     std::size_t n = 0;      ///< seeds where both runs are ok()
     double mean = 0.0;      ///< mean of per-seed baseline/config
     double stddev = 0.0;    ///< sample stddev (0 when n < 2)
@@ -196,9 +207,11 @@ struct SweepReport
     std::uint64_t cacheHits = 0;
     std::uint64_t cacheMisses = 0;
 
-    /** The outcome for an exact point, or nullptr. */
+    /** The outcome for an exact point, or nullptr (@p lanes
+     *  defaults to the presets' lane count). */
     const RunOutcome* find(Wk w, const std::string& config,
-                           std::uint64_t seed, double scale) const;
+                           std::uint64_t seed, double scale,
+                           std::uint32_t lanes = 8) const;
 
     /** Number of runs that failed or were incorrect. */
     std::size_t failures() const;
@@ -219,14 +232,15 @@ struct SweepReport
 };
 
 /** The engine.  Validates the spec on construction (fatal on an
- *  empty axis, an unknown baseline name, a missing benchJsonDir
- *  directory, or a statsJsonPath). */
+ *  empty axis, configs whose lanes disagree under an empty lanes
+ *  axis, an unknown baseline name, a missing benchJsonDir directory,
+ *  or a statsJsonPath). */
 class Sweep
 {
   public:
     explicit Sweep(SweepSpec spec);
 
-    /** The spec, with empty seeds/scales axes resolved. */
+    /** The spec, with empty seeds/scales/laneCounts axes resolved. */
     const SweepSpec& spec() const { return spec_; }
 
     /** The expanded grid, in execution-independent order. */

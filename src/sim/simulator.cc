@@ -327,9 +327,12 @@ Simulator::loop(Tick cycles, bool toQuiescence)
                 return now_;
         }
         if constexpr (kFastForward) {
-            if (activeCount_ == 0) {
+            if (activeCount_ == 0 && dirtyCh_.empty()) {
                 // Idle fast-forward: nothing ticks until the next
                 // event or timed wake; every skipped cycle is a no-op.
+                // A value pushed outside a tick (dirtyCh_ non-empty)
+                // must first be committed by cycle(), which wakes its
+                // observers.
                 const Stamp f0 = stamp<kObs>();
                 Tick target = kNoWakeTick;
                 if (!events_.empty())

@@ -469,7 +469,7 @@ TEST(OptionTableTest, FlagSetAndGridFileMeanTheSameSweep)
     const std::map<std::string, std::string> samples = {
         {"workloads", "spmv,msort"}, {"configs", "dyn,spatial"},
         {"seed", "3"}, {"seeds", "5,9"}, {"scale", "0.5"},
-        {"scales", "0.25,2"}, {"lanes", "4"}, {"baseline", "delta"},
+        {"scales", "0.25,2"}, {"lanes", "4,16"}, {"baseline", "delta"},
         {"steal", "steal-one"}, {"sched", "dyncount"},
         {"no-fast-forward", "1"}, {"timeline", "500"},
         {"timeline-series", "lanes,noc"}, {"host-profile", "1"},
@@ -523,8 +523,10 @@ TEST(OptionTableTest, SweepCommandLineKeepsItsSpellings)
     EXPECT_TRUE(g.quiet);
     EXPECT_EQ(g.spec().progress, "never") << "--quiet wins";
     ASSERT_EQ(g.spec().configs.size(), 1u);
-    EXPECT_EQ(g.spec().configs[0].cfg.lanes, 4u)
-        << "--lanes applies whatever the order";
+    const Sweep laned{g.spec()};
+    ASSERT_FALSE(laned.points().empty());
+    for (const RunPoint& p : laned.points())
+        EXPECT_EQ(p.lanes, 4u) << "--lanes applies whatever the order";
     EXPECT_EQ(g.spec().seeds, (std::vector<std::uint64_t>{1, 2}));
 
     const GridSettings def = parseSweep({});
@@ -741,6 +743,70 @@ TEST(SweepTest, AggregationMathIsExact)
     // Paired per-seed: 1000/500 = 2 and 1200/400 = 3.
     EXPECT_DOUBLE_EQ(sps[0].mean, 2.5);
     EXPECT_NEAR(sps[0].stddev, 0.7071067812, 1e-6);
+}
+
+TEST(SweepTest, LanesAxisPairsEachLaneCountWithItsOwnBaseline)
+{
+    const GridSettings g =
+        parseSweep({"--workloads", "spmv", "--configs", "static,delta",
+                    "--scale", "0.25", "--lanes", "2,4"});
+    SweepSpec spec = g.spec();
+    const Sweep sweep(spec);
+    const auto& pts = sweep.points();
+    ASSERT_EQ(pts.size(), 4u);
+    EXPECT_EQ(pts[0].tag(), "spmv_static_l2_s7_x0.25");
+    EXPECT_EQ(pts[1].tag(), "spmv_delta_l2_s7_x0.25");
+    EXPECT_EQ(pts[2].tag(), "spmv_static_l4_s7_x0.25");
+    EXPECT_EQ(pts[3].tag(), "spmv_delta_l4_s7_x0.25");
+
+    spec.jobs = 1;
+    const SweepReport serial = Sweep(spec).run();
+    spec.jobs = 4;
+    const SweepReport parallel = Sweep(spec).run();
+    std::ostringstream ra, rb;
+    serial.writeJson(ra);
+    parallel.writeJson(rb);
+    EXPECT_EQ(ra.str(), rb.str())
+        << "aggregate report JSON must be bit-identical";
+
+    // Each point ran at its own lane count...
+    for (const RunOutcome& r : serial.runs) {
+        EXPECT_TRUE(r.ok()) << r.point.tag() << ": " << r.error;
+        EXPECT_EQ(r.stats.get("delta.lanes"), r.point.lanes)
+            << r.point.tag();
+    }
+    // ...and each lane count's speedup pairs with the baseline run at
+    // that lane count.
+    const auto sps = serial.pairedSpeedups();
+    ASSERT_EQ(sps.size(), 2u);
+    for (const PairedSpeedup& ps : sps) {
+        SCOPED_TRACE(ps.lanes);
+        const RunOutcome* st =
+            serial.find(Wk::Spmv, "static", 7, 0.25, ps.lanes);
+        const RunOutcome* dy =
+            serial.find(Wk::Spmv, "delta", 7, 0.25, ps.lanes);
+        ASSERT_NE(st, nullptr);
+        ASSERT_NE(dy, nullptr);
+        EXPECT_EQ(ps.n, 1u);
+        EXPECT_DOUBLE_EQ(ps.mean, st->cycles / dy->cycles);
+    }
+    EXPECT_EQ(sps[0].lanes, 2u);
+    EXPECT_EQ(sps[1].lanes, 4u);
+    EXPECT_NE(serial.find(Wk::Spmv, "static", 7, 0.25, 2)->cycles,
+              serial.find(Wk::Spmv, "static", 7, 0.25, 4)->cycles)
+        << "lane count must change the run";
+
+    const auto aggs = serial.aggregates();
+    ASSERT_EQ(aggs.size(), 4u);
+    EXPECT_EQ(aggs[0].lanes, 2u);
+    EXPECT_EQ(aggs[3].lanes, 4u);
+
+    // Configs that disagree on lanes need an axis to say which.
+    SweepSpec mixed = smallSpec();
+    mixed.configs[1].cfg.lanes = 4;
+    EXPECT_THROW(Sweep{mixed}, FatalError);
+    mixed.laneCounts = {4};
+    EXPECT_NO_THROW(Sweep{mixed});
 }
 
 TEST(SweepTest, ParallelForCoversEveryIndexOnce)

@@ -9,7 +9,8 @@
  * src/sim/simulator.hh: sleeping is only legal when the skipped ticks
  * are provably no-ops, so the naive reference mode (tick every
  * component every cycle) and the activity-driven mode must agree on
- * every architectural statistic, cycle count, and functional result.
+ * every architectural statistic, cycle count, and functional result
+ * — also for a channel push made between step() calls.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <string>
 
 #include "accel/delta.hh"
+#include "noc/noc.hh"
 #include "workloads/workload.hh"
 
 using namespace ts;
@@ -140,5 +142,54 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(allWorkloads()),
                        ::testing::Bool()),
     diffName);
+
+/**
+ * A packet injected between step() calls, while every router sleeps,
+ * is a channel push made outside any tick.  @return the cycle its
+ * destination first sees it when stepping one cycle at a time (0 if
+ * it never arrives), with @p totalDelivered the NoC's delivery count
+ * after one long step in a second, identical setup.
+ */
+Tick
+outsideTickDelivery(bool fastForward, std::uint64_t& totalDelivered)
+{
+    const auto injectIdle = [&](Simulator& sim, Noc& noc) {
+        sim.setFastForward(fastForward);
+        sim.step(10); // nothing to route: every router sleeps
+        Packet pkt;
+        pkt.src = 0;
+        pkt.dstMask = Packet::unicast(3);
+        EXPECT_TRUE(noc.inject(std::move(pkt)));
+    };
+
+    Simulator longSim;
+    Noc longNoc(longSim, NocConfig{2, 2, 4, 2});
+    injectIdle(longSim, longNoc);
+    longSim.step(100);
+    totalDelivered = longNoc.delivered();
+
+    Simulator sim;
+    Noc noc(sim, NocConfig{2, 2, 4, 2});
+    injectIdle(sim, noc);
+    for (int i = 0; i < 100; ++i) {
+        sim.step(1);
+        if (!noc.eject(3).empty())
+            return sim.now();
+    }
+    return 0;
+}
+
+TEST(FastForwardOutsideTick, InjectedPacketIsCommittedLikeNaive)
+{
+    std::uint64_t naiveDelivered = 0, fastDelivered = 0;
+    const Tick naive = outsideTickDelivery(false, naiveDelivered);
+    const Tick fast = outsideTickDelivery(true, fastDelivered);
+    ASSERT_GT(naive, 0u) << "the naive reference must deliver";
+    EXPECT_EQ(fast, naive)
+        << "idle fast-forward skipped the commit of a push made "
+           "outside a tick";
+    EXPECT_EQ(naiveDelivered, 1u);
+    EXPECT_EQ(fastDelivered, naiveDelivered);
+}
 
 } // namespace

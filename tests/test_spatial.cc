@@ -397,10 +397,6 @@ TEST(SpatialPinnedDispatch, BusyLaneDoesNotBlockOtherLanes)
 TEST(SpatialPinnedDispatch, UnpinnedProducersSpreadOnline)
 {
     PinnedFixture f;
-    // Every component sleeps once the producers are out, and idle
-    // fast-forward would skip the cycles that commit the completions
-    // this test injects from outside a tick.
-    f.sim.setFastForward(false);
     const auto ty = addAddType(f.reg, "scale");
     // Two producers fill the two halves of one staging buffer that a
     // single consumer reads: both forward into the consumer, which is
@@ -465,7 +461,6 @@ TEST(SpatialPinnedDispatch, PipelineEdgesNeverMoveAPinnedConsumer)
     // the consumer and give it the online pick (lane 0), while both
     // producers stream to its planned lane 1.
     PinnedFixture f(/*pipeline=*/true);
-    f.sim.setFastForward(false);
     const auto ty = addAddType(f.reg, "scale");
     const Addr mid = 0x10000;
     TaskGraph graph;
@@ -527,15 +522,31 @@ runSpatial(Wk wk, DeltaConfig cfg, bool* correct = nullptr)
 TEST(SpatialEndToEnd, EveryWorkloadStaysGoldenCorrect)
 {
     for (const Wk w : allWorkloads()) {
-        bool correct = false;
-        const StatSet stats =
-            runSpatial(w, DeltaConfig::spatial(8), &correct);
-        EXPECT_TRUE(correct) << wkIdent(w);
+        SuiteParams sp;
+        sp.scale = 0.25;
+        auto wl = makeWorkload(w, sp);
+        Delta delta(DeltaConfig::spatial(8));
+        TaskGraph graph;
+        wl->build(delta, graph);
+
+        // The plan must cover the host-submitted graph: every uid
+        // gets a lane in range and a pin decision.
+        std::vector<std::uint32_t> nodes;
+        for (std::uint32_t i = 0; i < delta.numLanes(); ++i)
+            nodes.push_back(Delta::laneNode(i));
+        const spatial::SpatialPlan plan = spatial::mapTaskGraph(
+            graph, delta.image(), delta.registry(), delta.noc(), nodes,
+            delta.config().nocLinks.linkWords);
+        ASSERT_EQ(plan.lane.size(), graph.numTasks()) << wkIdent(w);
+        EXPECT_EQ(plan.pinned.size(), plan.lane.size()) << wkIdent(w);
+        std::size_t outOfRange = 0;
+        for (const std::int32_t lane : plan.lane)
+            outOfRange += lane < 0 || lane >= 8 ? 1 : 0;
+        EXPECT_EQ(outOfRange, 0u) << wkIdent(w);
+
+        const StatSet stats = delta.run(graph);
+        EXPECT_TRUE(wl->check(delta.image())) << wkIdent(w);
         EXPECT_GT(stats.get("delta.cycles"), 0) << wkIdent(w);
-        // The plan must cover the host-submitted graph.
-        EXPECT_GT(stats.get("delta.spatial.groups") +
-                      stats.get("delta.attrib.spatial.forwardableEdges"),
-                  -1.0);
     }
 }
 

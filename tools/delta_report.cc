@@ -11,8 +11,9 @@
  * otherwise.
  *
  * Given a delta-sweep report (`delta-sweep --out`) instead, it prints
- * the Markdown headline tables — cycles, speedup over the grid's
- * baseline, and modeled energy per workload x config — and exits 1
+ * Markdown tables per (scale, lanes) — cycles, speedup over the
+ * grid's baseline, modeled energy, DRAM lines, NoC word-hops, lane
+ * imbalance and tasks stolen per workload x config — and exits 1
  * when any run failed or was incorrect.  The input's shape decides;
  * there is no flag.
  */
@@ -34,7 +35,7 @@ usage(const char* argv0)
     std::cerr
         << "usage: " << argv0 << " RUN.json [MORE.json ...] [options]\n"
         << "       " << argv0 << " SWEEP.json   (delta-sweep --out:\n"
-        << "   Markdown cycles/speedup/energy tables)\n"
+        << "   Markdown cycles/speedup/energy/traffic tables)\n"
         << "  (several runs print a side-by-side comparison table;\n"
         << "   the baseline column is --baseline when given, else\n"
         << "   the first run)\n"

@@ -4,7 +4,8 @@
  * simulations on a host thread pool (src/driver/sweep.hh), either
  * directly or against a content-addressed run cache.
  *
- * A grid is the cross product workloads x configs x seeds x scales.
+ * A grid is the cross product workloads x configs x lanes x seeds x
+ * scales.
  * Each point runs in full isolation; results aggregate
  * deterministically (bit-identical between -j 1 and -j N, and between
  * cold and warm cache passes).
@@ -76,10 +77,11 @@ main(int argc, char** argv)
                 grid.jobs > 0 ? std::to_string(grid.jobs) : "auto";
             std::fprintf(stderr,
                          "delta-sweep: %zu runs (%zu workloads x %zu "
-                         "configs x %zu seeds x %zu scales), -j %s\n",
+                         "configs x %zu lanes x %zu seeds x %zu "
+                         "scales), -j %s\n",
                          sweep.points().size(), s.workloads.size(),
-                         s.configs.size(), s.seeds.size(),
-                         s.scales.size(), jobs.c_str());
+                         s.configs.size(), s.laneCounts.size(),
+                         s.seeds.size(), s.scales.size(), jobs.c_str());
         }
         const driver::SweepReport report = sweep.run();
 
